@@ -223,7 +223,11 @@ def pseudo_inverse(J: np.ndarray, damping: float = 0.0) -> np.ndarray:
     J = np.asarray(J, dtype=float)
     if J.ndim == 1:
         J = J.reshape(1, -1)
-    U, s, Vt = np.linalg.svd(J, full_matrices=False)
+    return _pinv_from_svd(np.linalg.svd(J, full_matrices=False), damping)
+
+
+def _pinv_from_svd(svd, damping: float) -> np.ndarray:
+    U, s, Vt = svd
     if damping == 0.0:
         if s.size and s.min() < 1e-10:
             raise RankDeficiencyError(
@@ -246,9 +250,10 @@ def robust_pinv(J: np.ndarray) -> np.ndarray:
     J = np.asarray(J, dtype=float)
     if J.ndim == 1:
         J = J.reshape(1, -1)
-    s = np.linalg.svd(J, compute_uv=False)
+    svd = np.linalg.svd(J, full_matrices=False)
+    s = svd[1]
     sigma = AUTO_DAMPING if (s.size and s.min() < SINGULARITY_THRESHOLD) else 0.0
-    return pseudo_inverse(J, damping=sigma)
+    return _pinv_from_svd(svd, sigma)
 
 
 def null_projector(J: np.ndarray, damping: float = 0.0) -> np.ndarray:

@@ -5,13 +5,12 @@ from .costs import (
     predicted_twist,
     reference_twist,
     relaxation_factor,
-    repulsive_cost,
     repulsive_velocity,
     shooting_defects,
     stage_cost,
     terminal_cost,
 )
-from .planner import MpcSolution, Planner, PlannerInput, plan_step, solve
+from .planner import MpcSolution, Planner, PlannerInput, solve
 from .transcription import MpcProblem, transcribe
 
 __all__ = [
@@ -22,7 +21,6 @@ __all__ = [
     "predicted_twist",
     "relaxation_factor",
     "repulsive_velocity",
-    "repulsive_cost",
     "stage_cost",
     "terminal_cost",
     "shooting_defects",
@@ -31,6 +29,5 @@ __all__ = [
     "MpcSolution",
     "PlannerInput",
     "Planner",
-    "plan_step",
     "solve",
 ]

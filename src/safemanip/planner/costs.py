@@ -177,27 +177,6 @@ def build_context(model: RobotModel, q, qd, T_ref: Pose,
         qd_return=qd_return, Q_return=Q_return)
 
 
-def repulsive_cost(qd_k, result: DistanceResult, model: RobotModel, q_now,
-                   cfg, qd_now=None) -> float:
-    """Null-space penalty for deviating from the repulsion-tracking velocity.
-
-    Standalone form of the L_rep stage term for a single pair; the
-    transcription uses the frozen context instead of re-deriving Jacobians.
-    """
-    if result.distance >= cfg.d_th2:
-        return 0.0
-    qd_k = np.asarray(qd_k, dtype=float).reshape(-1)
-    q_now = np.asarray(q_now, dtype=float).reshape(-1)
-    qd_now = np.zeros_like(q_now) if qd_now is None else \
-        np.asarray(qd_now, dtype=float).reshape(-1)
-    fk = forward_kinematics(model, q_now)
-    N_t = robust_null_projector(body_jacobian(model, q_now, fk=fk))
-    target = _repulsion_target(model, q_now, qd_now, result, cfg, fk)
-    e = N_t @ (qd_k - target)
-    q_rep, _, _ = cfg.stage_weights(model.n)
-    return float(e @ (q_rep * e))
-
-
 def _split(x, n):
     x = np.asarray(x, dtype=float).reshape(-1)
     return x[:n], x[n:]

@@ -134,23 +134,3 @@ class Planner:
         return PlanStep(q_des=x0c[:n].copy(), qd_des=np.zeros(n),
                         solution=sol, used_fallback=True)
 
-
-def plan_step(inp: PlannerInput, cfg: MpcConfig, model: RobotModel,
-              session: Optional[Planner] = None):
-    """One planning cycle; returns the next desired (q, qd).
-
-    Pass a :class:`Planner` as ``session`` to keep warm starts across calls;
-    without one each call is a cold start (the ``warm_start`` field of the
-    input is still honored).
-    """
-    if session is not None:
-        step = session.plan_step(inp.x0, inp.T_ref, inp.obstacles)
-        return step.q_des, step.qd_des
-    problem = transcribe(inp, cfg, model)
-    sol = solve(problem, cfg)
-    n = model.n
-    if sol.status == "infeasible" and inp.warm_start is not None:
-        x_next = np.asarray(inp.warm_start.X)[2]
-        return x_next[:n].copy(), x_next[n:].copy()
-    x_next = sol.X[1]
-    return x_next[:n].copy(), x_next[n:].copy()

@@ -1,17 +1,20 @@
 """Transcription of the receding-horizon problem into a convex QP.
 
-Multiple shooting keeps every node state as a decision variable with defect
-equality constraints; the variable order [x_0, u_0, x_1, u_1, ..., x_N] keeps
-the KKT system banded.  Single shooting eliminates the states by rollout
-substitution, condensing the cost and constraint rows onto the inputs; the
-condensed problem is dense.
+Every cycle builds one multiple-shooting QP: each node state is a decision
+variable tied to its predecessor by defect equality rows, and the variable
+order [x_0, u_0, x_1, u_1, ..., x_N] keeps the KKT system banded.  Single
+shooting is that QP condensed onto the inputs: the double-integrator rollout
+z = T x0 + S u closes every equality row, so substituting it leaves a dense
+problem in u alone with the same inequality rows in the same order (Axehill,
+"Controlling the level of sparsity in MPC", Systems & Control Letters 2015).
 """
 
 import logging
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
 
 from ..model import RobotModel
@@ -59,8 +62,8 @@ class MpcProblem:
     slack_rows: tuple
     n_distance_rows: int
     x0: np.ndarray
-    Phi: Optional[np.ndarray] = field(default=None, repr=False)
-    Gamma: Optional[np.ndarray] = field(default=None, repr=False)
+    # single shooting: (T, S) with T x0 + S u the multiple-shooting vector
+    lift: Optional[tuple] = field(default=None, repr=False)
 
     @property
     def n_vars(self) -> int:
@@ -69,30 +72,21 @@ class MpcProblem:
     def split(self, z: np.ndarray):
         """Decision vector -> (X: (N+1, 2n), U: (N, n))."""
         n, N = self.n, self.N
-        if self.method == "multiple":
-            X = np.empty((N + 1, 2 * n))
-            U = np.empty((N, n))
-            for k in range(N):
-                base = k * 3 * n
-                X[k] = z[base:base + 2 * n]
-                U[k] = z[base + 2 * n:base + 3 * n]
-            X[N] = z[N * 3 * n:N * 3 * n + 2 * n]
-            return X, U
-        U = np.asarray(z, dtype=float).reshape(N, n)
-        X = (self.Phi @ self.x0 + self.Gamma @ z).reshape(N + 1, 2 * n)
-        return X, U
+        z = np.asarray(z, dtype=float).reshape(-1)
+        if self.lift is not None:
+            T, S = self.lift
+            z = T @ self.x0 + S @ z
+        nodes = np.concatenate([z, np.zeros(n)]).reshape(N + 1, 3 * n)
+        return nodes[:, :2 * n].copy(), nodes[:N, 2 * n:].copy()
 
     def join(self, X: np.ndarray, U: np.ndarray) -> np.ndarray:
-        if self.method == "multiple":
-            n, N = self.n, self.N
-            z = np.empty(self.n_vars)
-            for k in range(N):
-                base = k * 3 * n
-                z[base:base + 2 * n] = X[k]
-                z[base + 2 * n:base + 3 * n] = U[k]
-            z[N * 3 * n:] = X[N]
-            return z
-        return np.asarray(U, dtype=float).reshape(-1)
+        if self.lift is not None:
+            return np.asarray(U, dtype=float).reshape(-1)
+        n, N = self.n, self.N
+        nodes = np.zeros((N + 1, 3 * n))
+        nodes[:, :2 * n] = X
+        nodes[:N, 2 * n:] = U
+        return nodes.reshape(-1)[:N * 3 * n + 2 * n]
 
 
 def _clamp_state(model: RobotModel, x0: np.ndarray, dt: float) -> np.ndarray:
@@ -140,30 +134,42 @@ def _braking_inputs(model: RobotModel, x0: np.ndarray, N: int, dt: float) -> np.
 def _warm_inputs(warm, model: RobotModel, N: int) -> Optional[np.ndarray]:
     """Shift-by-one input sequence from a previous solution (last repeated),
     clipped into the input box."""
-    if warm is None:
+    if warm is None or warm.U is None:
         return None
-    U_prev = np.asarray(getattr(warm, "U", None))
-    if U_prev is None or U_prev.ndim != 2 or U_prev.shape != (N, model.n):
+    U_prev = np.asarray(warm.U)
+    if U_prev.shape != (N, model.n):
         return None
     U = np.vstack([U_prev[1:], U_prev[-1:]])
     return np.clip(U, -model.limits.acceleration, model.limits.acceleration)
 
 
-def transcribe(inp: PlannerInput, cfg: MpcConfig, model: RobotModel) -> MpcProblem:
-    n = model.n
-    N = cfg.horizon
-    dt = cfg.dt
-    x0 = _clamp_state(model, inp.x0, dt)
-    ctx = build_context(model, x0[:n], x0[n:], inp.T_ref, inp.obstacles, cfg,
-                        posture_target=inp.posture_target)
+def _place(groups, n: int, N: int):
+    """Stack row groups into one sparse matrix over the node layout.
 
-    # per-node quadratic blocks (cost = 0.5 z'Hz + g'z + const)
+    A group is (rows, nodes): the block ``rows`` is repeated on each of
+    ``nodes`` in turn, its column c reading the variable c places after the
+    start of that node, so a block wider than a node reaches into the next.
+    """
+    ii, jj, vv = [], [], []
+    m = 0
+    for rows, nodes in groups:
+        nodes = np.asarray(nodes)[:, None]
+        r, c = np.nonzero(rows)
+        ii.append((m + len(rows) * np.arange(nodes.size)[:, None] + r).ravel())
+        jj.append((3 * n * nodes + c).ravel())
+        vv.append(np.tile(rows[r, c], nodes.size))
+        m += len(rows) * nodes.size
+    return sp.csr_matrix(
+        (np.concatenate(vv), (np.concatenate(ii), np.concatenate(jj))),
+        shape=(m, N * 3 * n + 2 * n))
+
+
+def _cost(ctx: PlannerContext, N: int):
+    """Block-diagonal H and g over the node layout (cost = 0.5 z'Hz + g'z +
+    const)."""
+    n = ctx.q.size
     J = ctx.J_task
     b_ee = ctx.V_ref + J @ ctx.q
-    Pq_stage = 2.0 * (J.T * ctx.W_stage) @ J
-    gq_stage = -2.0 * J.T @ (ctx.W_stage * b_ee)
-    Pq_term = 2.0 * (J.T * ctx.W_terminal) @ J
-    gq_term = -2.0 * J.T @ (ctx.W_terminal * b_ee)
     Pv_stage = 2.0 * np.diag(ctx.Q_s)
     gv_stage = np.zeros(n)
     for rep in ctx.repulsions:
@@ -174,259 +180,124 @@ def transcribe(inp: PlannerInput, cfg: MpcConfig, model: RobotModel) -> MpcProbl
         NQ = ctx.N_t.T * ctx.Q_return
         Pv_stage += 2.0 * NQ @ ctx.N_t
         gv_stage += -2.0 * NQ @ (ctx.N_t @ ctx.qd_return)
-    Pv_term = 2.0 * np.diag(ctx.Q_s_terminal)
-    Pu = 2.0 * np.diag(ctx.R)
-
-    lo, hi = model.limits.position_lower, model.limits.position_upper
-    vmax, amax = model.limits.velocity, model.limits.acceleration
-
-    if cfg.method == "multiple":
-        return _transcribe_multiple(model, cfg, ctx, x0, Pq_stage, gq_stage,
-                                    Pq_term, gq_term, Pv_stage, gv_stage,
-                                    Pv_term, Pu, lo, hi, vmax, amax, inp)
-    return _transcribe_single(model, cfg, ctx, x0, Pq_stage, gq_stage,
-                              Pq_term, gq_term, Pv_stage, gv_stage,
-                              Pv_term, Pu, lo, hi, vmax, amax, inp)
+    stage = scipy.linalg.block_diag(
+        2.0 * (J.T * ctx.W_stage) @ J, Pv_stage, 2.0 * np.diag(ctx.R))
+    terminal = scipy.linalg.block_diag(
+        2.0 * (J.T * ctx.W_terminal) @ J, 2.0 * np.diag(ctx.Q_s_terminal))
+    H = _place([(stage, range(N)), (terminal, [N])], n, N)
+    g_stage = np.concatenate([-2.0 * J.T @ (ctx.W_stage * b_ee), gv_stage,
+                              np.zeros(n)])
+    g = np.concatenate([np.tile(g_stage, N),
+                        -2.0 * J.T @ (ctx.W_terminal * b_ee), np.zeros(n)])
+    return H, g
 
 
-def _state_rows_template(n, lo, hi, vmax):
-    """(coefficient sign, state coordinate, bound) triples for one node's box."""
-    rows = []
-    for i in range(n):
-        rows.append((+1.0, i, lo[i]))            # q_i >= lo
-        rows.append((-1.0, i, -hi[i]))           # -q_i >= -hi
-        rows.append((+1.0, n + i, -vmax[i]))     # qd_i >= -vmax
-        rows.append((-1.0, n + i, -vmax[i]))     # -qd_i >= -vmax
-    return rows
-
-
-def _feasible_start(x0, model, cfg, warm, make_z0, check):
-    """Try warm-shifted inputs, then braking; returns (z0, feasible)."""
-    N, dt = cfg.horizon, cfg.dt
-    for U in (_warm_inputs(warm, model, N), ):
-        if U is not None:
-            z0 = make_z0(U)
-            if check(z0):
-                return z0, True
-    U = _braking_inputs(model, x0, N, dt)
-    z0 = make_z0(U)
-    return z0, check(z0)
-
-
-def _transcribe_multiple(model, cfg, ctx, x0, Pq_stage, gq_stage, Pq_term,
-                         gq_term, Pv_stage, gv_stage, Pv_term, Pu,
-                         lo, hi, vmax, amax, inp):
-    n, N, dt = model.n, cfg.horizon, cfg.dt
-    node = 3 * n
-    nz = N * node + 2 * n
-
-    H = sp.lil_matrix((nz, nz))
-    g = np.zeros(nz)
-    for k in range(N):
-        b = k * node
-        H[b:b + n, b:b + n] = Pq_stage
-        H[b + n:b + 2 * n, b + n:b + 2 * n] = Pv_stage
-        H[b + 2 * n:b + 3 * n, b + 2 * n:b + 3 * n] = Pu
-        g[b:b + n] = gq_stage
-        g[b + n:b + 2 * n] = gv_stage
-    bN = N * node
-    H[bN:bN + n, bN:bN + n] = Pq_term
-    H[bN + n:bN + 2 * n, bN + n:bN + 2 * n] = Pv_term
-    g[bN:bN + n] = gq_term
-    H = H.tocsr()
-
-    # equalities: initial pin + defects x_{k+1} - F x_k - G u_k = 0
+def _equality_rows(x0: np.ndarray, N: int, dt: float):
+    """Initial pin x_0 = x0, then defects x_{k+1} - F x_k - G u_k = 0."""
+    n = x0.size // 2
     F = np.eye(2 * n)
     F[:n, n:] = dt * np.eye(n)
     G = np.zeros((2 * n, n))
     G[n:, :] = dt * np.eye(n)
-    rows, cols, vals = [], [], []
-    b_eq = np.zeros((N + 1) * 2 * n)
-    for i in range(2 * n):
-        rows.append(i)
-        cols.append(i)
-        vals.append(1.0)
-    b_eq[:2 * n] = x0
-    for k in range(N):
-        r0 = (k + 1) * 2 * n
-        bx = k * node
-        bu = k * node + 2 * n
-        bx1 = (k + 1) * node
-        for i in range(2 * n):
-            rows.append(r0 + i)
-            cols.append(bx1 + i)
-            vals.append(1.0)
-            for j in range(2 * n):
-                if F[i, j] != 0.0:
-                    rows.append(r0 + i)
-                    cols.append(bx + j)
-                    vals.append(-F[i, j])
-            for j in range(n):
-                if G[i, j] != 0.0:
-                    rows.append(r0 + i)
-                    cols.append(bu + j)
-                    vals.append(-G[i, j])
-    A_eq = sp.csr_matrix((vals, (rows, cols)), shape=((N + 1) * 2 * n, nz))
+    pin = np.eye(2 * n)
+    step = np.hstack([-F, -G, np.eye(2 * n)])  # from x_k, u_k into x_{k+1}
+    A_eq = _place([(pin, [0]), (step, range(N))], n, N)
+    return A_eq, np.concatenate([x0, np.zeros(N * 2 * n)])
 
-    # inequalities: velocity box on nodes 1..N, position box on nodes 2..N
-    # (q_1 = q_0 + dt qd_0 is fixed by the pin, so no decision variable can
-    # act on a node-1 position row), input boxes, distance rows from node 2
-    irows, icols, ivals, b_in = [], [], [], []
-    slack_rows = []
-    box = _state_rows_template(n, lo, hi, vmax)
-    r = 0
-    for k in range(1, N + 1):
-        bx = k * node  # node N has no input block, but its x offset still is N*node
-        for sign, coord, bound in box:
-            if coord < n and k < 2:
-                continue
-            irows.append(r)
-            icols.append(bx + coord)
-            ivals.append(sign)
-            b_in.append(bound)
-            if coord < n:
-                slack_rows.append(r)  # position rows may need repair
-            r += 1
-    for k in range(N):
-        bu = k * node + 2 * n
-        for i in range(n):
-            irows.append(r)
-            icols.append(bu + i)
-            ivals.append(+1.0)
-            b_in.append(-amax[i])
-            r += 1
-            irows.append(r)
-            icols.append(bu + i)
-            ivals.append(-1.0)
-            b_in.append(-amax[i])
-            r += 1
-    n_dist = 0
+
+def _inequality_rows(model: RobotModel, cfg: MpcConfig, ctx: PlannerContext):
+    """A_in z >= b_in: velocity box on nodes 1..N, position box on nodes 2..N
+    (q_1 = q_0 + dt qd_0 is fixed by the pin, so no decision variable can act
+    on a node-1 position row), input boxes, distance rows from node 2.
+
+    Returns (A_in, b_in, slack_rows); position and distance rows are the
+    ones a feasibility repair may relax.
+    """
+    n, N = model.n, cfg.horizon
+    lo, hi = model.limits.position_lower, model.limits.position_upper
+    vmax, amax = model.limits.velocity, model.limits.acceleration
+    # one node's box, per joint: q >= lo, -q >= -hi, qd >= -vmax, -qd >= -vmax
+    box = np.zeros((4 * n, 2 * n))
+    box[np.arange(4 * n), np.repeat(np.arange(n), 4) + np.tile([0, 0, n, n], n)] = \
+        np.tile([1.0, -1.0, 1.0, -1.0], n)
+    box_b = np.column_stack([lo, -hi, -vmax, -vmax]).ravel()
+    is_q = np.tile([True, True, False, False], n)
+    # per joint: u >= -amax, -u >= -amax
+    inputs = np.zeros((2 * n, 3 * n))
+    inputs[np.arange(2 * n), 2 * n + np.repeat(np.arange(n), 2)] = \
+        np.tile([1.0, -1.0], n)
+    # (rows on one node, right-hand sides, relaxable, nodes)
+    groups = [(box[~is_q], box_b[~is_q], is_q[~is_q], [1]),
+              (box, box_b, is_q, range(2, N + 1)),
+              (inputs, np.repeat(-amax, 2), np.zeros(2 * n, bool), range(N))]
     for row in ctx.distance_rows:
         rhs = cfg.d_th1 - row.distance + float(row.gradient @ ctx.q)
-        for k in range(2, N + 1):
-            bx = k * node
-            for j in range(n):
-                if row.gradient[j] != 0.0:
-                    irows.append(r)
-                    icols.append(bx + j)
-                    ivals.append(row.gradient[j])
-            b_in.append(rhs)
-            slack_rows.append(r)
-            r += 1
-            n_dist += 1
-    A_in = sp.csr_matrix((ivals, (irows, icols)), shape=(r, nz))
-    b_in = np.asarray(b_in)
-
-    def make_z0(U):
-        X = _rollout(x0, U, dt)
-        z = np.empty(nz)
-        for k in range(N):
-            b = k * node
-            z[b:b + 2 * n] = X[k]
-            z[b + 2 * n:b + 3 * n] = U[k]
-        z[bN:] = X[N]
-        return z
-
-    def check(z):
-        return not np.any(A_in @ z < b_in - 1e-9)
-
-    z0, ok = _feasible_start(x0, model, cfg, inp.warm_start, make_z0, check)
-    return MpcProblem(method="multiple", n=n, N=N, dt=dt, context=ctx,
-                      H=H, g=g, A_eq=A_eq, b_eq=b_eq, A_in=A_in, b_in=b_in,
-                      z0=z0, z0_feasible=ok, slack_rows=tuple(slack_rows),
-                      n_distance_rows=n_dist, x0=x0)
+        groups.append((row.gradient[None], [rhs], [True], range(2, N + 1)))
+    A_in = _place([(rows, nodes) for rows, _, _, nodes in groups], n, N)
+    b_in = np.concatenate([np.tile(b, len(nodes)) for _, b, _, nodes in groups])
+    relax = np.concatenate([np.tile(s, len(nodes)) for _, _, s, nodes in groups])
+    return A_in, b_in, tuple(np.flatnonzero(relax).tolist())
 
 
-def _transcribe_single(model, cfg, ctx, x0, Pq_stage, gq_stage, Pq_term,
-                       gq_term, Pv_stage, gv_stage, Pv_term, Pu,
-                       lo, hi, vmax, amax, inp):
+def _lift(n: int, N: int, dt: float):
+    """(T, S) with T x0 + S u the rollout in the node layout, in closed form
+    for the double integrator: x_k = [[I, k dt I], [0, I]] x0
+    + sum_{j<k} [[(k-1-j) dt^2 I], [dt I]] u_j."""
+    k = np.arange(N + 1)[:, None]
+    j = np.arange(N)[None, :]
+    before = j < k
+    # scalar coefficients of the q, qd and u rows of node k
+    T = np.zeros((N + 1, 3, 2))
+    T[:, 0, 0] = 1.0
+    T[:, 0, 1] = k[:, 0] * dt
+    T[:, 1, 1] = 1.0
+    S = np.stack([np.where(before, (k - 1 - j) * dt * dt, 0.0),
+                  np.where(before, dt, 0.0),
+                  np.where(k == j, 1.0, 0.0)], axis=1)
+    nz = N * 3 * n + 2 * n
+    return (np.kron(T.reshape(-1, 2), np.eye(n))[:nz],
+            np.kron(S.reshape(-1, N), np.eye(n))[:nz])
+
+
+def _feasible_start(problem: MpcProblem, model: RobotModel, warm):
+    """Warm-shifted inputs if they satisfy every row of the problem, else
+    braking; returns (z0, feasible)."""
+    def start(U):
+        z = problem.join(_rollout(problem.x0, U, problem.dt), U)
+        return z, not np.any(problem.A_in @ z < problem.b_in - 1e-9)
+
+    U = _warm_inputs(warm, model, problem.N)
+    if U is not None:
+        z0, ok = start(U)
+        if ok:
+            return z0, True
+    return start(_braking_inputs(model, problem.x0, problem.N, problem.dt))
+
+
+def transcribe(inp: PlannerInput, cfg: MpcConfig, model: RobotModel) -> MpcProblem:
     n, N, dt = model.n, cfg.horizon, cfg.dt
-    nz = N * n
-    nx = 2 * n
-
-    # rollout sensitivities: x_k = Phi_k x0 + sum_j Gamma[k,j] u_j with
-    # F^m G = [[m dt^2 I], [dt I]] in closed form for the double integrator
-    Phi = np.zeros(((N + 1) * nx, nx))
-    Gamma = np.zeros(((N + 1) * nx, nz))
-    for k in range(N + 1):
-        Phi[k * nx:k * nx + n, :n] = np.eye(n)
-        Phi[k * nx:k * nx + n, n:] = k * dt * np.eye(n)
-        Phi[k * nx + n:(k + 1) * nx, n:] = np.eye(n)
-        for j in range(k):
-            blk = Gamma[k * nx:(k + 1) * nx, j * n:(j + 1) * n]
-            blk[:n, :] = (k - 1 - j) * dt * dt * np.eye(n)
-            blk[n:, :] = dt * np.eye(n)
-
-    # condense the cost onto the inputs
-    Hx = np.zeros(((N + 1) * nx, (N + 1) * nx))
-    gx = np.zeros((N + 1) * nx)
-    for k in range(N):
-        b = k * nx
-        Hx[b:b + n, b:b + n] = Pq_stage
-        Hx[b + n:b + nx, b + n:b + nx] = Pv_stage
-        gx[b:b + n] = gq_stage
-        gx[b + n:b + nx] = gv_stage
-    bN = N * nx
-    Hx[bN:bN + n, bN:bN + n] = Pq_term
-    Hx[bN + n:bN + nx, bN + n:bN + nx] = Pv_term
-    gx[bN:bN + n] = gq_term
-
-    x_free = Phi @ x0
-    HxG = Hx @ Gamma
-    H = Gamma.T @ HxG
-    for k in range(N):
-        H[k * n:(k + 1) * n, k * n:(k + 1) * n] += Pu
-    H = 0.5 * (H + H.T)  # symmetrize roundoff
-    g = Gamma.T @ (Hx @ x_free + gx)
-
-    # state rows become rows of Gamma; input rows are unit rows
-    a_rows, b_in, slack_rows = [], [], []
-    r = 0
-    box = _state_rows_template(n, lo, hi, vmax)
-    for k in range(1, N + 1):
-        base = k * nx
-        for sign, coord, bound in box:
-            if coord < n and k < 2:
-                continue
-            a_rows.append(sign * Gamma[base + coord])
-            b_in.append(bound - sign * x_free[base + coord])
-            if coord < n:
-                slack_rows.append(r)
-            r += 1
-    for k in range(N):
-        for i in range(n):
-            e = np.zeros(nz)
-            e[k * n + i] = 1.0
-            a_rows.append(e)
-            b_in.append(-amax[i])
-            r += 1
-            a_rows.append(-e)
-            b_in.append(-amax[i])
-            r += 1
-    n_dist = 0
-    for row in ctx.distance_rows:
-        rhs0 = cfg.d_th1 - row.distance + float(row.gradient @ ctx.q)
-        for k in range(2, N + 1):
-            base = k * nx
-            a = row.gradient @ Gamma[base:base + n]
-            a_rows.append(a)
-            b_in.append(rhs0 - float(row.gradient @ x_free[base:base + n]))
-            slack_rows.append(r)
-            r += 1
-            n_dist += 1
-    A_in = np.vstack(a_rows) if a_rows else np.zeros((0, nz))
-    b_in = np.asarray(b_in)
-
-    def make_z0(U):
-        return np.asarray(U, dtype=float).reshape(-1)
-
-    def check(z):
-        if A_in.shape[0] == 0:
-            return True
-        return not np.any(A_in @ z < b_in - 1e-9)
-
-    z0, ok = _feasible_start(x0, model, cfg, inp.warm_start, make_z0, check)
-    return MpcProblem(method="single", n=n, N=N, dt=dt, context=ctx,
-                      H=H, g=g, A_eq=None, b_eq=None, A_in=A_in, b_in=b_in,
-                      z0=z0, z0_feasible=ok, slack_rows=tuple(slack_rows),
-                      n_distance_rows=n_dist, x0=x0, Phi=Phi, Gamma=Gamma)
+    x0 = _clamp_state(model, inp.x0, dt)
+    ctx = build_context(model, x0[:n], x0[n:], inp.T_ref, inp.obstacles, cfg,
+                        posture_target=inp.posture_target)
+    H, g = _cost(ctx, N)
+    A_eq, b_eq = _equality_rows(x0, N, dt)
+    A_in, b_in, slack_rows = _inequality_rows(model, cfg, ctx)
+    lift = None
+    if cfg.method == "single":
+        # z = T x0 + S u meets A_eq z = b_eq for every u: the equality block
+        # drops out and the cost and rows condense onto u
+        T, S = lift = _lift(n, N, dt)
+        z_free = T @ x0
+        g = S.T @ (H @ z_free + g)
+        H = S.T @ (H @ S)
+        H = 0.5 * (H + H.T)  # symmetrize roundoff
+        A_in, b_in = A_in @ S, b_in - A_in @ z_free
+        A_eq = b_eq = None
+    problem = MpcProblem(method=cfg.method, n=n, N=N, dt=dt, context=ctx,
+                         H=H, g=g, A_eq=A_eq, b_eq=b_eq, A_in=A_in, b_in=b_in,
+                         z0=None, z0_feasible=False, slack_rows=slack_rows,
+                         n_distance_rows=len(ctx.distance_rows) * (N - 1),
+                         x0=x0, lift=lift)
+    problem.z0, problem.z0_feasible = _feasible_start(problem, model,
+                                                      inp.warm_start)
+    return problem

@@ -3,12 +3,12 @@
 Each suite runs a batch of randomized property checks against an independent
 oracle (finite differences, algebraic identities, a dense least-squares
 solver, byte comparison of repeated runs) and reports pass/fail counts.  The
-``validate`` CLI subcommand prints the summary; the test suite runs the same
-code at larger case counts.
+``validate`` CLI subcommand prints the summary; ``tests/test_validate.py``
+runs the same suites.
 
 The checks call through the module objects (``dynamics.gravity_torque`` and
 friends) so a deliberately injected fault is observed, which is how the
-mutation fixture in the tests verifies the validator actually discriminates.
+fault-injection test verifies the validator actually discriminates.
 """
 
 import tempfile

@@ -13,7 +13,6 @@ from safemanip.planner import (
     predicted_twist,
     reference_twist,
     relaxation_factor,
-    repulsive_cost,
     repulsive_velocity,
     shooting_defects,
     solve,
@@ -113,26 +112,34 @@ def test_repulsive_velocity_zero_outside_band():
     np.testing.assert_allclose(repulsive_velocity(pair_result(0.2), cfg), 0.0)
 
 
+def repulsion_only():
+    """Config whose stage cost is the repulsion term alone."""
+    return MpcConfig(q_ee=0.0, q_s=0.0, r=0.0)
+
+
 def test_repulsive_cost_zero_outside_band(planar2r):
-    cfg = MpcConfig()
-    res = pair_result(0.5)
-    assert repulsive_cost(np.ones(2), res, planar2r, np.zeros(2), cfg) == 0.0
+    cfg = repulsion_only()
+    q = np.zeros(2)
+    obs = (ball([1.0, 0.5, 0.0]),)
+    ctx = build_context(planar2r, q, np.zeros(2), Pose.identity(), obs, cfg)
+    assert ctx.d_min >= cfg.d_th2
+    assert stage_cost(np.concatenate([q, np.ones(2)]), np.ones(2), ctx) == 0.0
 
 
 def test_repulsive_cost_annihilated_in_task_range(panda7, rng):
     # velocities that differ from the target only inside the row space of J
     # carry no repulsion penalty: the null projector removes them
+    cfg = repulsion_only()
     q = rng.uniform(-1.0, 1.0, panda7.n)
-    fk = forward_kinematics(panda7, q)
-    res = DistanceResult(distance=0.05, p_robot=fk[-1].translation,
-                         p_obstacle=fk[-1].translation + np.array([0.0, 0.0, 0.05]),
-                         normal=np.array([0.0, 0.0, 1.0]), link=panda7.n - 1,
-                         body_index=0, obstacle_index=0)
-    cfg = MpcConfig()
-    J = body_jacobian(panda7, q)
-    base = repulsive_cost(np.zeros(panda7.n), res, panda7, q, cfg)
-    shifted = repulsive_cost(np.linalg.pinv(J) @ rng.standard_normal(6), res,
-                             panda7, q, cfg)
+    p_ee = forward_kinematics(panda7, q)[-1].translation
+    obs = (ball(p_ee + np.array([0.0, 0.0, 0.15]), radius=0.05),)
+    ctx = build_context(panda7, q, np.zeros(panda7.n), Pose.identity(), obs, cfg)
+    assert ctx.repulsions
+    u = np.zeros(panda7.n)
+    base = stage_cost(np.concatenate([q, np.zeros(panda7.n)]), u, ctx)
+    qd = np.linalg.pinv(ctx.J_task) @ rng.standard_normal(6)
+    shifted = stage_cost(np.concatenate([q, qd]), u, ctx)
+    assert base > 0.0
     np.testing.assert_allclose(shifted, base, atol=1e-9)
 
 
@@ -358,13 +365,51 @@ def test_single_shooting_variable_count(planar2r):
     assert prob.A_eq is None or prob.A_eq.shape[0] == 0
 
 
-def test_split_join_round_trip(planar2r, rng):
-    cfg = MpcConfig(horizon=5, method="multiple")
+@pytest.mark.parametrize("method", ["multiple", "single"])
+def test_split_join_round_trip(planar2r, rng, method):
+    cfg = MpcConfig(horizon=5, method=method)
     inp = PlannerInput(x0=np.zeros(4), T_ref=Pose.identity())
     prob = transcribe(inp, cfg, planar2r)
     z = rng.standard_normal(prob.n_vars)
     X, U = prob.split(z)
     np.testing.assert_allclose(prob.join(X, U), z)
+
+
+def test_single_shooting_is_condensed_multiple_shooting(panda7, rng):
+    # oracle: the rollout z(U) in the multiple-shooting layout gives the
+    # single-shooting QP at U the same objective (up to a constant) and the
+    # same inequality residuals as the multiple-shooting QP at z(U)
+    N, n = 6, panda7.n
+    q0 = np.array([0.0, -0.3, 0.0, -2.0, 0.0, 1.8, 0.7])
+    x0 = np.concatenate([q0, rng.uniform(-0.1, 0.1, n)])
+    fk = forward_kinematics(panda7, q0)
+    obs = (ball(fk[-1].translation + np.array([0.0, 0.15, 0.1]), radius=0.08),)
+    T_ref = Pose(rotation=fk[-1].rotation.copy(),
+                 translation=fk[-1].translation + np.array([0.0, 0.1, 0.0]))
+    inp = PlannerInput(x0=x0, T_ref=T_ref, obstacles=obs)
+    ms = transcribe(inp, MpcConfig(horizon=N, method="multiple"), panda7)
+    ss = transcribe(inp, MpcConfig(horizon=N, method="single"), panda7)
+    assert ms.n_distance_rows > 0
+    assert ss.n_distance_rows == ms.n_distance_rows
+    assert ss.slack_rows == ms.slack_rows
+
+    def objective(prob, z):
+        return 0.5 * z @ (prob.H @ z) + prob.g @ z
+
+    draws = []
+    for _ in range(2):
+        U = rng.uniform(-1.0, 1.0, (N, n))
+        X = _rollout(ms.x0, U, ms.dt)
+        z = ms.join(X, U)
+        np.testing.assert_allclose(ms.A_eq @ z, ms.b_eq, atol=1e-12)
+        np.testing.assert_allclose(ss.A_in @ U.ravel() - ss.b_in,
+                                   ms.A_in @ z - ms.b_in, atol=1e-12)
+        X_ss, U_ss = ss.split(U.ravel())
+        np.testing.assert_allclose(X_ss, X, atol=1e-12)
+        np.testing.assert_allclose(U_ss, U, atol=0.0)
+        draws.append((objective(ss, U.ravel()), objective(ms, z)))
+    (ss_a, ms_a), (ss_b, ms_b) = draws
+    np.testing.assert_allclose(ss_a - ss_b, ms_a - ms_b, rtol=1e-9)
 
 
 def test_initial_guess_is_dynamically_feasible(planar2r):

@@ -20,10 +20,10 @@ from typing import Optional
 import numpy as np
 
 from .dynamics import (
+    KinState,
     RankDeficiencyError,
-    bias_forces,
     jacobian_dot_qd,
-    mass_matrix,
+    mass_matrix,  # noqa: F401  unused; perfbench/test_perfbench.py looks it up here
     mdot_qd,
     task_dynamics_from_jacobian,
 )
@@ -39,6 +39,8 @@ from .se3 import Pose, pose_diff
 log = logging.getLogger(__name__)
 
 _DIRECTION_EPS = 1e-6
+# regularization of the task inertia when the task Jacobian is near singular
+_TASK_DAMPING = 0.1
 _warned_once: set = set()
 
 
@@ -189,29 +191,19 @@ class ControllerState:
         return self.q_pre_contact
 
 
-def tracking_torque(model: RobotModel, q, qd, q_des, qd_des, gains: GainSet,
-                    fk=None, M=None, bias=None) -> np.ndarray:
+def tracking_torque(kin: KinState, q_des, qd_des, gains: GainSet) -> np.ndarray:
     """Computed-torque cascade: model-based inner loop plus a PD outer loop.
 
     At rest with q_des = q this reduces to pure gravity compensation.
-    ``M`` and ``bias`` may be passed in when the caller already has them;
-    the 1 kHz loop shares them between the laws and the estimator.
     """
-    q = np.asarray(q, dtype=float).reshape(-1)
-    qd = np.asarray(qd, dtype=float).reshape(-1)
-    e = np.asarray(q_des, dtype=float).reshape(-1) - q
-    ed = np.asarray(qd_des, dtype=float).reshape(-1) - qd
-    frames = fk if fk is not None else forward_kinematics(model, q)
-    if M is None:
-        M = mass_matrix(model, q, fk=frames)
-    if bias is None:
-        bias = bias_forces(model, q, qd, fk=frames)
-    tau_ff = M @ (gains.kp1 * e + gains.kd1 * ed) + bias
+    e = np.asarray(q_des, dtype=float).reshape(-1) - kin.q
+    ed = np.asarray(qd_des, dtype=float).reshape(-1) - kin.qd
+    tau_ff = kin.M @ (gains.kp1 * e + gains.kd1 * ed) + kin.bias
     return tau_ff + gains.kp2 * e + gains.kd2 * ed
 
 
-def usde_update(state: UsdeState, model: RobotModel, q, qd, tau_cmd,
-                dt: float, fk=None, M=None, bias=None) -> np.ndarray:
+def usde_update(state: UsdeState, model: RobotModel, kin: KinState, tau_cmd,
+                dt: float) -> np.ndarray:
     """Advance the disturbance filters one tick and return the estimate.
 
     ``tau_cmd`` is the torque commanded on the previous tick.  Filters the
@@ -226,22 +218,15 @@ def usde_update(state: UsdeState, model: RobotModel, q, qd, tau_cmd,
     """
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
-    q = np.asarray(q, dtype=float).reshape(-1)
-    qd = np.asarray(qd, dtype=float).reshape(-1)
     tau_cmd = np.asarray(tau_cmd, dtype=float).reshape(-1)
-    frames = fk if fk is not None else forward_kinematics(model, q)
-    if M is None:
-        M = mass_matrix(model, q, fk=frames)
-    if bias is None:
-        bias = bias_forces(model, q, qd, fk=frames)
-    P = M @ qd
-    H = bias - mdot_qd(model, q, qd)
+    P = kin.M @ kin.qd
+    H = kin.bias - mdot_qd(model, kin.q, kin.qd)
     if not state.initialized:
         state.P_f = P.copy()
         state.H_f = H.copy()
         state.tau_f = tau_cmd.copy()
         state.initialized = True
-        return np.zeros_like(q)
+        return np.zeros_like(kin.q)
     a = dt / state.k
     state.P_f = state.P_f + a * (P - state.P_f)
     state.H_f = state.H_f + a * (H - state.H_f)
@@ -249,27 +234,25 @@ def usde_update(state: UsdeState, model: RobotModel, q, qd, tau_cmd,
     return (P - state.P_f) / state.k + state.H_f - state.tau_f
 
 
-def _estimated_contact_force(model: RobotModel, q, link: int, r_hat, frames):
+def _estimated_contact_force(model: RobotModel, frames, link: int, r_hat):
     """Map the torque estimate to a force at the distal end of ``link``.
 
     The exact contact point along the link is unobservable, so the lever arm
     is taken at the link's far end.
     """
     p_distal = frames[link + 1].translation
-    J_c = point_jacobian_world(model, q, link, p_distal, fk=frames)
+    J_c = point_jacobian_world(model, frames, link, p_distal)
     return robust_pinv(J_c).T @ np.asarray(r_hat, dtype=float).reshape(-1), J_c
 
 
-def reduced_contact_jacobian(model: RobotModel, q, link: int, r_hat,
-                             fk=None):
+def reduced_contact_jacobian(model: RobotModel, kin: KinState, link: int,
+                             r_hat):
     """Contact direction ``n_c`` and the scalar Jacobian ``n_c' J_c``.
 
     Raises :class:`DegenerateContactError` when the torque estimate maps to
     a negligible contact-frame force, leaving the direction undefined.
     """
-    q = np.asarray(q, dtype=float).reshape(-1)
-    frames = fk if fk is not None else forward_kinematics(model, q)
-    f, J_c = _estimated_contact_force(model, q, link, r_hat, frames)
+    f, J_c = _estimated_contact_force(model, kin.frames, link, r_hat)
     norm = float(np.linalg.norm(f))
     if norm <= _DIRECTION_EPS:
         raise DegenerateContactError(
@@ -278,8 +261,8 @@ def reduced_contact_jacobian(model: RobotModel, q, link: int, r_hat,
     return n_c, n_c @ J_c
 
 
-def detect_contact(r_hat, model: RobotModel, q, tau_th: float,
-                   t: float = 0.0, fk=None) -> Optional[ContactInfo]:
+def detect_contact(r_hat, model: RobotModel, kin: KinState, tau_th: float,
+                   t: float = 0.0) -> Optional[ContactInfo]:
     """Threshold test on the torque estimate.
 
     A push on link j loads joints 1..j, so the most distal exceeding joint
@@ -292,7 +275,7 @@ def detect_contact(r_hat, model: RobotModel, q, tau_th: float,
         return None
     link = int(over[-1])
     try:
-        n_c, J_tilde = reduced_contact_jacobian(model, q, link, r_hat, fk=fk)
+        n_c, J_tilde = reduced_contact_jacobian(model, kin, link, r_hat)
     except DegenerateContactError:
         log.warning("contact direction degenerate on link %d, ignoring", link)
         return None
@@ -300,10 +283,9 @@ def detect_contact(r_hat, model: RobotModel, q, tau_th: float,
                        J_tilde=J_tilde, detected_at=t)
 
 
-def contact_safe_torque(model: RobotModel, q, qd, T_des: Pose, V_des,
+def contact_safe_torque(model: RobotModel, kin: KinState, T_des: Pose, V_des,
                         contact: ContactInfo, r_hat, gains: GainSet,
-                        f_des: float, fk=None, M=None, bias=None,
-                        q_rest=None, k_null: float = 0.0,
+                        f_des: float, q_rest=None, k_null: float = 0.0,
                         d_null: float = 0.0) -> np.ndarray:
     """Hold the latched task while yielding along the contact direction.
 
@@ -315,19 +297,16 @@ def contact_safe_torque(model: RobotModel, q, qd, T_des: Pose, V_des,
     push meets no resistance in the null space and winds the joints up
     without limit.
     """
-    q = np.asarray(q, dtype=float).reshape(-1)
-    qd = np.asarray(qd, dtype=float).reshape(-1)
-    frames = fk if fk is not None else forward_kinematics(model, q)
-    J = body_jacobian(model, q, fk=frames)
+    q, qd = kin.q, kin.qd
+    J = body_jacobian(model, kin.frames)
     Jd_qd = jacobian_dot_qd(model, q, qd)
     try:
-        td = task_dynamics_from_jacobian(model, q, qd, J, Jd_qd, M=M, bias=bias)
+        td = task_dynamics_from_jacobian(kin, J, Jd_qd)
     except RankDeficiencyError:
         _warn_once("singular-task",
                    "task Jacobian near singular, damping the contact-safe law")
-        td = task_dynamics_from_jacobian(model, q, qd, J, Jd_qd, damping=0.1,
-                                         M=M, bias=bias)
-    e_pose = pose_diff(frames[-1], T_des)
+        td = task_dynamics_from_jacobian(kin, J, Jd_qd, damping=_TASK_DAMPING)
+    e_pose = pose_diff(kin.frames[-1], T_des)
     V = J @ qd
     V_des = np.asarray(V_des, dtype=float).reshape(-1)
     r_hat = np.asarray(r_hat, dtype=float).reshape(-1)
@@ -343,13 +322,12 @@ def contact_safe_torque(model: RobotModel, q, qd, T_des: Pose, V_des,
 def _latch_task(model: RobotModel, q_des, qd_des):
     """Desired end-effector pose and twist at a desired joint state."""
     frames = forward_kinematics(model, q_des)
-    V = body_jacobian(model, q_des, fk=frames) @ np.asarray(qd_des, dtype=float)
+    V = body_jacobian(model, frames) @ np.asarray(qd_des, dtype=float)
     return frames[-1], V
 
 
 def mode_step(state: ControllerState, model: RobotModel, t: float, dt: float,
-              q, qd, q_des, qd_des, gains: GainSet, fk=None, M=None,
-              bias=None):
+              kin: KinState, q_des, qd_des, gains: GainSet):
     """One control tick: update the estimate, run the mode machine, return
     ``(mode, tau)``.
 
@@ -358,28 +336,21 @@ def mode_step(state: ControllerState, model: RobotModel, t: float, dt: float,
     configuration via :attr:`ControllerState.reference_override`, so the
     tracking law in RETURNING follows the recovery path like any other plan.
     """
-    q = np.asarray(q, dtype=float).reshape(-1)
-    qd = np.asarray(qd, dtype=float).reshape(-1)
-    frames = fk if fk is not None else forward_kinematics(model, q)
-    if M is None or bias is None:
-        M = mass_matrix(model, q, fk=frames)
-        bias = bias_forces(model, q, qd, fk=frames)
+    q = kin.q
     if state.last_tau is None:
         # the estimator filters must be seeded with the torque actually going
         # out, otherwise the seed mismatch reads as a phantom contact
-        tau = tracking_torque(model, q, qd, q_des, qd_des, gains, fk=frames,
-                              M=M, bias=bias)
-        usde_update(state.usde, model, q, qd, tau, dt, fk=frames, M=M, bias=bias)
+        tau = tracking_torque(kin, q_des, qd_des, gains)
+        usde_update(state.usde, model, kin, tau, dt)
         state.r_hat = np.zeros(model.n)
         state.last_tau = tau
         return state.mode, tau
-    r_hat = usde_update(state.usde, model, q, qd, state.last_tau, dt,
-                        fk=frames, M=M, bias=bias)
+    r_hat = usde_update(state.usde, model, kin, state.last_tau, dt)
     state.r_hat = r_hat
     p = state.params
 
     if state.mode is not Mode.CONTACT_SAFE:
-        info = detect_contact(r_hat, model, q, p.tau_th, t=t, fk=frames)
+        info = detect_contact(r_hat, model, kin, p.tau_th, t=t)
         if info is not None:
             if state.mode is Mode.TRACKING:
                 # latch the return target and held task once per episode
@@ -399,12 +370,12 @@ def mode_step(state: ControllerState, model: RobotModel, t: float, dt: float,
         over = np.nonzero(np.abs(r_hat) > p.tau_th)[0]
         if over.size and int(over[-1]) > link:
             link = int(over[-1])
-        f, J_c = _estimated_contact_force(model, q, link, r_hat, frames)
+        f, J_c = _estimated_contact_force(model, kin.frames, link, r_hat)
         norm = float(np.linalg.norm(f))
         if norm <= _DIRECTION_EPS and link != state.contact.link_index:
             # upgrade candidate carries no direction, stay with the old link
             link = state.contact.link_index
-            f, J_c = _estimated_contact_force(model, q, link, r_hat, frames)
+            f, J_c = _estimated_contact_force(model, kin.frames, link, r_hat)
             norm = float(np.linalg.norm(f))
         if norm > _DIRECTION_EPS:
             # track the evolving push direction while it stays informative
@@ -414,9 +385,8 @@ def mode_step(state: ControllerState, model: RobotModel, t: float, dt: float,
                 n_c=n_c, J_tilde=n_c @ J_c,
                 detected_at=state.contact.detected_at)
         state.f_des = p.k_f * norm
-        tau = contact_safe_torque(model, q, qd, state.T_pre, state.V_pre,
+        tau = contact_safe_torque(model, kin, state.T_pre, state.V_pre,
                                   state.contact, r_hat, gains, state.f_des,
-                                  fk=frames, M=M, bias=bias,
                                   q_rest=state.q_pre_contact,
                                   k_null=p.k_null, d_null=p.d_null)
         if np.abs(r_hat).max() < p.release_fraction * p.tau_th:
@@ -445,7 +415,6 @@ def mode_step(state: ControllerState, model: RobotModel, t: float, dt: float,
             state.V_pre = None
             log.info("manipulation resumed at t=%.3f", t)
 
-    tau = tracking_torque(model, q, qd, q_des, qd_des, gains, fk=frames,
-                          M=M, bias=bias)
+    tau = tracking_torque(kin, q_des, qd_des, gains)
     state.last_tau = tau
     return state.mode, tau

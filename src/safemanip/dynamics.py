@@ -4,8 +4,20 @@
 coordinates; ``inverse_dynamics`` is a world-frame recursive Newton-Euler pass
 (gravity enters through a fictitious base acceleration).  The Christoffel-form
 Coriolis matrix is built from central differences of M, which keeps the
-``Mdot = C + C^T`` identity to finite-difference accuracy; the cheaper
-directional product ``coriolis_transpose_qd`` serves the 1 kHz estimator path.
+``Mdot = C + C^T`` identity to finite-difference accuracy; it is the oracle of
+the tests.  The 1 kHz estimator path evaluates the momentum drift
+``-C^T qd + g`` as ``bias - mdot_qd`` instead.
+
+Per-state convention: ``mass_matrix``, ``inverse_dynamics``, ``bias_forces``
+and ``gravity_torque`` take the ``frames`` of
+:func:`safemanip.model.forward_kinematics` as a required argument.
+:class:`KinState` is the one object computed per state (q, qd): its frames, M
+and bias come from one forward-kinematics pass and one call each of the
+public ``mass_matrix`` and ``bias_forces``.  ``sim.run`` builds it once per
+tick for the true state (and once more for the measured state when sensor
+noise is on); the controller laws, ``task_dynamics_from_jacobian``,
+``forward_dynamics`` and the first RK4 stage read it, the later RK4 stages
+build their own.
 """
 
 from __future__ import annotations
@@ -18,15 +30,6 @@ from .model import RankDeficiencyError, RobotModel, body_jacobian, forward_kinem
 from .se3 import hat
 
 _FD_STEP = 1e-6
-
-
-@dataclass(frozen=True)
-class DynamicsTerms:
-    """Joint-space terms: mass matrix, Christoffel Coriolis matrix, gravity."""
-
-    M: np.ndarray
-    C: np.ndarray
-    g: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -57,9 +60,8 @@ def _world_com_data(model: RobotModel, frames):
     return coms, inertias, masses
 
 
-def mass_matrix(model: RobotModel, q: np.ndarray, fk=None) -> np.ndarray:
+def mass_matrix(model: RobotModel, frames) -> np.ndarray:
     """n x n joint-space inertia matrix via composite rigid bodies."""
-    frames = fk if fk is not None else forward_kinematics(model, q)
     n = model.n
     coms, inertias, masses = _world_com_data(model, frames)
 
@@ -89,10 +91,8 @@ def mass_matrix(model: RobotModel, q: np.ndarray, fk=None) -> np.ndarray:
     return M
 
 
-def inverse_dynamics(model: RobotModel, q, qd, qdd, fk=None,
-                     gravity: bool = True) -> np.ndarray:
+def inverse_dynamics(model: RobotModel, frames, qd, qdd) -> np.ndarray:
     """Joint torques realizing ``qdd`` at state (q, qd):  M qdd + C qd + g."""
-    frames = fk if fk is not None else forward_kinematics(model, q)
     qd = np.asarray(qd, dtype=float).reshape(-1)
     qdd = np.asarray(qdd, dtype=float).reshape(-1)
     n = model.n
@@ -107,7 +107,7 @@ def inverse_dynamics(model: RobotModel, q, qd, qdd, fk=None,
 
     w_prev = np.zeros(3)
     al_prev = np.zeros(3)
-    ao_prev = -model.gravity if gravity else np.zeros(3)
+    ao_prev = -model.gravity
     o_prev = np.zeros(3)
     for i in range(n):
         r = origins[i] - o_prev
@@ -135,14 +135,37 @@ def inverse_dynamics(model: RobotModel, q, qd, qdd, fk=None,
     return tau
 
 
-def gravity_torque(model: RobotModel, q, fk=None) -> np.ndarray:
+def gravity_torque(model: RobotModel, frames) -> np.ndarray:
     z = np.zeros(model.n)
-    return inverse_dynamics(model, q, z, z, fk=fk)
+    return inverse_dynamics(model, frames, z, z)
 
 
-def bias_forces(model: RobotModel, q, qd, fk=None) -> np.ndarray:
+def bias_forces(model: RobotModel, frames, qd) -> np.ndarray:
     """Velocity-and-gravity bias ``C(q, qd) qd + g(q)``."""
-    return inverse_dynamics(model, q, qd, np.zeros(model.n), fk=fk)
+    return inverse_dynamics(model, frames, qd, np.zeros(model.n))
+
+
+@dataclass(frozen=True)
+class KinState:
+    """Kinematics and dynamics of one state (q, qd), computed once.
+
+    ``frames`` are the link and end-effector poses, ``M`` the joint-space
+    inertia and ``bias`` the term ``C(q, qd) qd + g(q)``.
+    """
+
+    q: np.ndarray
+    qd: np.ndarray
+    frames: list
+    M: np.ndarray
+    bias: np.ndarray
+
+    @classmethod
+    def of(cls, model: RobotModel, q, qd) -> "KinState":
+        q = np.asarray(q, dtype=float).reshape(-1)
+        qd = np.asarray(qd, dtype=float).reshape(-1)
+        frames = forward_kinematics(model, q)
+        return cls(q=q, qd=qd, frames=frames, M=mass_matrix(model, frames),
+                   bias=bias_forces(model, frames, qd))
 
 
 def _mass_matrix_gradient(model: RobotModel, q: np.ndarray) -> np.ndarray:
@@ -153,7 +176,8 @@ def _mass_matrix_gradient(model: RobotModel, q: np.ndarray) -> np.ndarray:
     for k in range(n):
         e = np.zeros(n)
         e[k] = _FD_STEP
-        dM[k] = (mass_matrix(model, q + e) - mass_matrix(model, q - e)) / (2 * _FD_STEP)
+        dM[k] = (mass_matrix(model, forward_kinematics(model, q + e))
+                 - mass_matrix(model, forward_kinematics(model, q - e))) / (2 * _FD_STEP)
     return dM
 
 
@@ -168,66 +192,44 @@ def coriolis_matrix(model: RobotModel, q, qd) -> np.ndarray:
     return 0.5 * (mdot + t2 - t3)
 
 
-def mdot_qd(model: RobotModel, q, qd, h: float = _FD_STEP) -> np.ndarray:
+def mdot_qd(model: RobotModel, q, qd) -> np.ndarray:
     """Directional derivative ``Mdot qd`` along the current motion (two mass
     matrix evaluations instead of 2n)."""
     q = np.asarray(q, dtype=float).reshape(-1)
     qd = np.asarray(qd, dtype=float).reshape(-1)
     scale = max(1.0, float(np.linalg.norm(qd)))
-    hh = h / scale
-    dM = (mass_matrix(model, q + hh * qd) - mass_matrix(model, q - hh * qd)) / (2 * hh)
+    hh = _FD_STEP / scale
+    dM = (mass_matrix(model, forward_kinematics(model, q + hh * qd))
+          - mass_matrix(model, forward_kinematics(model, q - hh * qd))) / (2 * hh)
     return dM @ qd
 
 
-def coriolis_transpose_qd(model: RobotModel, q, qd, fk=None) -> np.ndarray:
-    """``C^T qd`` from the identity ``C^T qd = Mdot qd - C qd``."""
-    cqd = bias_forces(model, q, qd, fk=fk) - gravity_torque(model, q, fk=fk)
-    return mdot_qd(model, q, qd) - cqd
-
-
-def dynamics_terms(model: RobotModel, q, qd) -> DynamicsTerms:
-    """Full joint-space terms with the explicit Christoffel C matrix."""
-    fk = forward_kinematics(model, q)
-    return DynamicsTerms(M=mass_matrix(model, q, fk=fk),
-                         C=coriolis_matrix(model, q, qd),
-                         g=gravity_torque(model, q, fk=fk))
-
-
-def jacobian_dot_qd(model: RobotModel, q, qd, jac_fn=body_jacobian,
-                    h: float = _FD_STEP) -> np.ndarray:
-    """``Jdot qd`` by central differences of the Jacobian along the motion."""
+def jacobian_dot_qd(model: RobotModel, q, qd) -> np.ndarray:
+    """``Jdot qd`` of the body Jacobian by central differences along the
+    motion."""
     q = np.asarray(q, dtype=float).reshape(-1)
     qd = np.asarray(qd, dtype=float).reshape(-1)
     scale = max(1.0, float(np.linalg.norm(qd)))
-    hh = h / scale
-    dJ = (jac_fn(model, q + hh * qd) - jac_fn(model, q - hh * qd)) / (2 * hh)
+    hh = _FD_STEP / scale
+    dJ = (body_jacobian(model, forward_kinematics(model, q + hh * qd))
+          - body_jacobian(model, forward_kinematics(model, q - hh * qd))) / (2 * hh)
     return dJ @ qd
 
 
-_TASK_DAMPING = 0.1
 _TASK_COND_LIMIT = 1e12
 
 
-def task_dynamics_from_jacobian(model: RobotModel, q, qd, J, Jdot_qd,
-                                damping: float = 0.0, M=None,
-                                bias=None) -> TaskDynamicsTerms:
+def task_dynamics_from_jacobian(kin: KinState, J, Jdot_qd,
+                                damping: float = 0.0) -> TaskDynamicsTerms:
     """Operational-space terms for an arbitrary task Jacobian.
 
     ``Lambda = (J M^-1 J')^-1`` (regularized by ``damping^2 I`` on request),
     ``Jbar = M^-1 J' Lambda``, ``eta = Jbar'(C qd + g) - Lambda Jdot qd``.
     Raises :class:`RankDeficiencyError` when the apparent inertia is singular
-    and no damping was given.  ``M``/``bias`` skip the recomputation when the
-    caller already holds them.
+    and no damping was given.
     """
     J = np.atleast_2d(np.asarray(J, dtype=float))
-    if M is None or bias is None:
-        fk = forward_kinematics(model, q)
-        if M is None:
-            M = mass_matrix(model, q, fk=fk)
-        if bias is None:
-            bias = bias_forces(model, q, qd, fk=fk)
-    b = bias
-    MinvJT = np.linalg.solve(M, J.T)
+    MinvJT = np.linalg.solve(kin.M, J.T)
     A = J @ MinvJT
     m = A.shape[0]
     if damping > 0.0:
@@ -239,37 +241,20 @@ def task_dynamics_from_jacobian(model: RobotModel, q, qd, J, Jdot_qd,
         Lam = np.linalg.inv(A)
     Lam = 0.5 * (Lam + Lam.T)
     Jbar = MinvJT @ Lam
-    eta = Jbar.T @ b - Lam @ np.asarray(Jdot_qd, dtype=float).reshape(-1)
+    eta = Jbar.T @ kin.bias - Lam @ np.asarray(Jdot_qd, dtype=float).reshape(-1)
     return TaskDynamicsTerms(Lam=Lam, eta=eta, Jbar=Jbar)
 
 
-def task_dynamics(model: RobotModel, q, qd, damped: bool = False) -> TaskDynamicsTerms:
-    """Task-space dynamics at the end-effector (body-frame Jacobian).
-
-    ``damped=True`` regularizes the apparent-inertia inverse so the call
-    stays defined near singular configurations.
-    """
-    J = body_jacobian(model, q)
-    Jd_qd = jacobian_dot_qd(model, q, qd)
-    return task_dynamics_from_jacobian(
-        model, q, qd, J, Jd_qd, damping=_TASK_DAMPING if damped else 0.0)
-
-
-def forward_dynamics(model: RobotModel, q, qd, tau, tau_ext=None, fk=None,
-                     M=None, bias=None) -> np.ndarray:
+def forward_dynamics(kin: KinState, tau, tau_ext=None) -> np.ndarray:
     """``qdd = M^-1 (tau + tau_ext - C qd - g)``."""
     tau = np.asarray(tau, dtype=float).reshape(-1)
     total = tau if tau_ext is None else tau + np.asarray(tau_ext, dtype=float).reshape(-1)
-    if M is None or bias is None:
-        frames = fk if fk is not None else forward_kinematics(model, q)
-        M = mass_matrix(model, q, fk=frames)
-        bias = bias_forces(model, q, qd, fk=frames)
-    return np.linalg.solve(M, total - bias)
+    return np.linalg.solve(kin.M, total - kin.bias)
 
 
 def kinetic_energy(model: RobotModel, q, qd) -> float:
     qd = np.asarray(qd, dtype=float).reshape(-1)
-    return 0.5 * float(qd @ mass_matrix(model, q) @ qd)
+    return 0.5 * float(qd @ mass_matrix(model, forward_kinematics(model, q)) @ qd)
 
 
 def potential_energy(model: RobotModel, q) -> float:

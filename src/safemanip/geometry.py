@@ -146,29 +146,14 @@ def min_distance(shape_a, pose_a: Pose, shape_b, pose_b: Pose) -> DistanceResult
     )
 
 
-def body_obstacle_distance(model: RobotModel, q, body: CollisionBody,
-                           obstacle: Obstacle, fk=None,
+def body_obstacle_distance(model: RobotModel, frames: Sequence[Pose],
+                           body: CollisionBody, obstacle: Obstacle,
                            body_index: int = -1,
                            obstacle_index: int = -1) -> DistanceResult:
-    frames = fk if fk is not None else forward_kinematics(model, q)
     world_pose = frames[body.link] @ body.local
     res = min_distance(body.shape, world_pose, obstacle.shape, obstacle.pose)
     return replace(res, link=body.link, body_index=body_index,
                    obstacle_index=obstacle_index)
-
-
-def pairwise_distances(model: RobotModel, q, obstacles: Sequence[Obstacle],
-                       fk=None) -> list:
-    """One result per (collision body, obstacle) pair, ordered by
-    (body index, obstacle index)."""
-    frames = fk if fk is not None else forward_kinematics(model, q)
-    out = []
-    for bi, body in enumerate(model.collision_bodies):
-        for oi, obstacle in enumerate(obstacles):
-            out.append(body_obstacle_distance(model, q, body, obstacle,
-                                              fk=frames, body_index=bi,
-                                              obstacle_index=oi))
-    return out
 
 
 @dataclass(frozen=True)
@@ -190,7 +175,8 @@ class DistanceSweep:
 def closest_pair_per_link(model: RobotModel, q, obstacles: Sequence[Obstacle],
                           fk=None) -> DistanceSweep:
     """Closest obstacle per collision body (ties go to the lower obstacle
-    index), ordered by body; the global minimum is flagged by index."""
+    index), ordered by body; the global minimum is flagged by index.
+    ``fk`` passes the frames at ``q`` when the caller already holds them."""
     if not obstacles:
         return DistanceSweep(results=(), min_index=None)
     frames = fk if fk is not None else forward_kinematics(model, q)
@@ -198,7 +184,7 @@ def closest_pair_per_link(model: RobotModel, q, obstacles: Sequence[Obstacle],
     for bi, body in enumerate(model.collision_bodies):
         best = None
         for oi, obstacle in enumerate(obstacles):
-            res = body_obstacle_distance(model, q, body, obstacle, fk=frames,
+            res = body_obstacle_distance(model, frames, body, obstacle,
                                          body_index=bi, obstacle_index=oi)
             if best is None or res.distance < best.distance:
                 best = res
@@ -209,8 +195,8 @@ def closest_pair_per_link(model: RobotModel, q, obstacles: Sequence[Obstacle],
     return DistanceSweep(results=tuple(per_body), min_index=int(np.argmin(dists)))
 
 
-def distance_gradient(model: RobotModel, q, result: DistanceResult,
-                      fk=None) -> np.ndarray:
+def distance_gradient(model: RobotModel, frames: Sequence[Pose],
+                      result: DistanceResult) -> np.ndarray:
     """Configuration-space gradient ``n^T J_A`` of the pair distance.
 
     Obstacles are treated as frozen at the query instant, so their witness
@@ -218,18 +204,8 @@ def distance_gradient(model: RobotModel, q, result: DistanceResult,
     """
     if abs(result.distance) < _CORE_EPS or np.linalg.norm(result.normal) < 0.5:
         raise GradientUndefinedError("witness normal degenerate at zero distance")
-    J_A = point_jacobian_world(model, q, result.link, result.p_robot, fk=fk)
+    J_A = point_jacobian_world(model, frames, result.link, result.p_robot)
     return result.normal @ J_A
-
-
-def linearized_distance(result: DistanceResult, gradient: np.ndarray,
-                        q, q_k) -> float:
-    """First-order distance prediction at candidate configuration ``q_k``."""
-    q = np.asarray(q, dtype=float).reshape(-1)
-    q_k = np.asarray(q_k, dtype=float).reshape(-1)
-    if q_k.shape != q.shape:
-        raise ValueError(f"candidate shape {q_k.shape} != measurement {q.shape}")
-    return float(result.distance + np.asarray(gradient) @ (q_k - q))
 
 
 def box_capsules(size, margin: float = 0.0) -> list:

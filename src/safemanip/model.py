@@ -11,6 +11,13 @@ Jacobian conventions:
     is consistent with the SE(3)-log pose difference in :mod:`safemanip.se3`.
   * ``point_jacobian`` is the 3 x n world-frame Jacobian of a point riding on
     a link (used by collision witnesses and contact localization).
+
+Per-state convention: ``forward_kinematics`` is the one place that walks the
+chain.  Every kinematic primitive here (and the dynamics and distance
+primitives built on them) takes its ``frames`` list as a required argument
+and never recomputes it.  The closed loop builds one
+:class:`safemanip.dynamics.KinState` per state, holding the frames together
+with M(q) and the bias, and hands that object to every consumer of the tick.
 """
 
 from __future__ import annotations
@@ -149,14 +156,13 @@ def _world_axes_origins(model: RobotModel, frames: Sequence[Pose]):
     return axes, origins
 
 
-def geometric_jacobian(model: RobotModel, q: np.ndarray, frame: int = -1,
-                       fk: Optional[list] = None) -> np.ndarray:
+def geometric_jacobian(model: RobotModel, frames: Sequence[Pose],
+                       frame: int = -1) -> np.ndarray:
     """6 x n world-frame hybrid Jacobian of a link frame (default: EE).
 
     ``frame`` indexes link frames 0..n-1; -1 or n selects the end-effector.
     Columns of joints downstream of the frame are zero.
     """
-    frames = fk if fk is not None else forward_kinematics(model, q)
     if frame in (-1, model.n):
         target, last = frames[-1], model.n - 1
     elif 0 <= frame < model.n:
@@ -172,11 +178,9 @@ def geometric_jacobian(model: RobotModel, q: np.ndarray, frame: int = -1,
     return J
 
 
-def point_jacobian(model: RobotModel, q: np.ndarray, link: int,
-                   point_local: np.ndarray = (0.0, 0.0, 0.0),
-                   fk: Optional[list] = None) -> np.ndarray:
+def point_jacobian(model: RobotModel, frames: Sequence[Pose], link: int,
+                   point_local: np.ndarray = (0.0, 0.0, 0.0)) -> np.ndarray:
     """3 x n world-frame Jacobian of a point attached to ``link``."""
-    frames = fk if fk is not None else forward_kinematics(model, q)
     if not 0 <= link < model.n:
         raise ValueError(f"invalid link index {link} for {model.n}-joint chain")
     p = frames[link].apply(np.asarray(point_local, dtype=float))
@@ -187,25 +191,21 @@ def point_jacobian(model: RobotModel, q: np.ndarray, link: int,
     return J
 
 
-def point_jacobian_world(model: RobotModel, q: np.ndarray, link: int,
-                         point_world: np.ndarray,
-                         fk: Optional[list] = None) -> np.ndarray:
+def point_jacobian_world(model: RobotModel, frames: Sequence[Pose], link: int,
+                         point_world: np.ndarray) -> np.ndarray:
     """Like :func:`point_jacobian` but for a point already given in world."""
-    frames = fk if fk is not None else forward_kinematics(model, q)
     local = frames[link].inverse().apply(point_world)
-    return point_jacobian(model, q, link, local, fk=frames)
+    return point_jacobian(model, frames, link, local)
 
 
-def body_jacobian(model: RobotModel, q: np.ndarray,
-                  fk: Optional[list] = None) -> np.ndarray:
+def body_jacobian(model: RobotModel, frames: Sequence[Pose]) -> np.ndarray:
     """6 x n end-effector Jacobian with both blocks in EE-frame axes.
 
     Satisfies ``body_twist = J_b qdot`` where the body twist is the first-order
     rate of ``se3.pose_diff`` along the motion, so it pairs correctly with
     log-based pose errors.
     """
-    frames = fk if fk is not None else forward_kinematics(model, q)
-    J = geometric_jacobian(model, q, frame=-1, fk=frames)
+    J = geometric_jacobian(model, frames, frame=-1)
     RT = frames[-1].rotation.T
     Jb = np.empty_like(J)
     Jb[:3] = RT @ J[:3]

@@ -6,7 +6,7 @@ variables and the transcribed problem is a convex QP.
 """
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -100,15 +100,13 @@ class PlannerContext:
     R: np.ndarray
     repulsions: tuple = ()
     distance_rows: tuple = ()
-    sweep: object = None
-    fk: tuple = field(default=(), repr=False)
     qd_return: Optional[np.ndarray] = None
     Q_return: Optional[np.ndarray] = None
 
 
-def _repulsion_target(model: RobotModel, q, qd, result: DistanceResult,
-                      cfg, fk) -> np.ndarray:
-    J_w = point_jacobian_world(model, q, result.link, result.p_robot, fk=fk)
+def _repulsion_target(model: RobotModel, frames, qd, result: DistanceResult,
+                      cfg) -> np.ndarray:
+    J_w = point_jacobian_world(model, frames, result.link, result.p_robot)
     v_now = J_w @ qd
     v_plus = v_now + repulsive_velocity(result, cfg)
     return robust_pinv(J_w) @ v_plus
@@ -127,7 +125,7 @@ def build_context(model: RobotModel, q, qd, T_ref: Pose,
     qd = np.asarray(qd, dtype=float).reshape(-1)
     fk = forward_kinematics(model, q)
     T_now = fk[-1]
-    J_task = body_jacobian(model, q, fk=fk)
+    J_task = body_jacobian(model, fk)
     V_ref = reference_twist(T_now, T_ref)
     N_t = robust_null_projector(J_task)
 
@@ -139,7 +137,7 @@ def build_context(model: RobotModel, q, qd, T_ref: Pose,
     for res in sweep.results:
         if res.distance < cfg.activation_radius:
             try:
-                grad = distance_gradient(model, q, res, fk=fk)
+                grad = distance_gradient(model, fk, res)
             except GradientUndefinedError:
                 log.warning("distance gradient undefined for body %d / obstacle %d "
                             "(d=%.4f); hard row skipped this cycle",
@@ -150,7 +148,7 @@ def build_context(model: RobotModel, q, qd, T_ref: Pose,
                                         obstacle_index=res.obstacle_index))
         if cfg.task_oriented and res.distance < cfg.d_th2:
             repulsions.append(RepulsionTerm(
-                qd_target=_repulsion_target(model, q, qd, res, cfg, fk),
+                qd_target=_repulsion_target(model, fk, qd, res, cfg),
                 distance=res.distance,
                 body_index=res.body_index,
                 obstacle_index=res.obstacle_index))
@@ -173,7 +171,6 @@ def build_context(model: RobotModel, q, qd, T_ref: Pose,
         W_terminal=lam * S * cfg.q_ee_terminal,
         Q_rep=q_rep, Q_s=q_s, Q_s_terminal=np.full(model.n, cfg.q_s_terminal),
         R=r, repulsions=tuple(repulsions), distance_rows=tuple(rows),
-        sweep=sweep, fk=tuple(fk),
         qd_return=qd_return, Q_return=Q_return)
 
 

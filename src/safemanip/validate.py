@@ -70,7 +70,8 @@ def check_jacobians(models=None, n_configs: int = 25, seed: int = 0,
         rng = np.random.default_rng(seed)
         for _ in range(n_configs):
             q = _random_q(m, rng)
-            J = model_mod.body_jacobian(m, q)
+            frames = model_mod.forward_kinematics(m, q)
+            J = model_mod.body_jacobian(m, frames)
             J_fd = np.empty_like(J)
             for j in range(m.n):
                 e = np.zeros(m.n)
@@ -83,7 +84,7 @@ def check_jacobians(models=None, n_configs: int = 25, seed: int = 0,
                       f"{m.name}: body jacobian fd error {err:.2e}")
             link = int(rng.integers(0, m.n))
             p_local = rng.uniform(-0.2, 0.2, 3)
-            Jp = model_mod.point_jacobian(m, q, link, p_local)
+            Jp = model_mod.point_jacobian(m, frames, link, p_local)
             Jp_fd = np.empty_like(Jp)
             for j in range(m.n):
                 e = np.zeros(m.n)
@@ -105,7 +106,7 @@ def check_mass_matrix(models=None, n_configs: int = 100, seed: int = 0,
         rng = np.random.default_rng(seed)
         for _ in range(n_configs):
             q = _random_q(m, rng)
-            M = dynamics.mass_matrix(m, q)
+            M = dynamics.mass_matrix(m, model_mod.forward_kinematics(m, q))
             sym = np.abs(M - M.T).max()
             eig = float(np.linalg.eigvalsh(M).min())
             res.check(sym <= tol and eig > 0.0,
@@ -122,7 +123,7 @@ def check_gravity(models=None, n_configs: int = 25, seed: int = 0,
         rng = np.random.default_rng(seed)
         for _ in range(n_configs):
             q = _random_q(m, rng)
-            g = dynamics.gravity_torque(m, q)
+            g = dynamics.gravity_torque(m, model_mod.forward_kinematics(m, q))
             g_fd = np.empty(m.n)
             for j in range(m.n):
                 e = np.zeros(m.n)
@@ -146,18 +147,18 @@ def check_null_projector(models=None, n_configs: int = 25, seed: int = 0,
         for _ in range(n_configs):
             q = _random_q(m, rng)
             qd = rng.uniform(-0.5, 0.5, m.n)
-            J = model_mod.body_jacobian(m, q)
+            kin = dynamics.KinState.of(m, q, qd)
+            J = model_mod.body_jacobian(m, kin.frames)
             try:
                 td = dynamics.task_dynamics_from_jacobian(
-                    m, q, qd, J, dynamics.jacobian_dot_qd(m, q, qd))
+                    kin, J, dynamics.jacobian_dot_qd(m, q, qd))
             except dynamics.RankDeficiencyError:
                 # identities only hold at full task rank; skip singular draws
                 continue
             N_t = np.eye(m.n) - J.T @ td.Jbar.T
             idem = np.abs(N_t @ N_t - N_t).max()
             annil = np.abs(td.Jbar.T @ N_t).max()
-            M = dynamics.mass_matrix(m, q)
-            dyn = np.abs(J @ np.linalg.solve(M, N_t)).max()
+            dyn = np.abs(J @ np.linalg.solve(kin.M, N_t)).max()
             res.check(idem <= tol and annil <= tol and dyn <= tol,
                       f"{m.name}: idempotence {idem:.2e}, "
                       f"annihilation {annil:.2e}, accel leak {dyn:.2e}")
@@ -232,15 +233,17 @@ def check_distance_gradients(models=None, n_cases: int = 25, seed: int = 0,
             best = sweep.min_result
             if best is None or best.distance < 0.05:
                 continue
-            grad = geometry.distance_gradient(m, q, best)
+            grad = geometry.distance_gradient(
+                m, model_mod.forward_kinematics(m, q), best)
             grad_fd = np.empty(m.n)
+            body = m.collision_bodies[best.body_index]
             for j in range(m.n):
                 e = np.zeros(m.n)
                 e[j] = h
                 dp = geometry.body_obstacle_distance(
-                    m, q + e, m.collision_bodies[best.body_index], obs)
+                    m, model_mod.forward_kinematics(m, q + e), body, obs)
                 dm = geometry.body_obstacle_distance(
-                    m, q - e, m.collision_bodies[best.body_index], obs)
+                    m, model_mod.forward_kinematics(m, q - e), body, obs)
                 grad_fd[j] = (dp.distance - dm.distance) / (2 * h)
             err = np.abs(grad - grad_fd).max()
             res.check(err <= tol, f"{m.name}: distance grad error {err:.2e}")

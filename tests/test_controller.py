@@ -20,6 +20,7 @@ from safemanip.controller import (
     usde_update,
 )
 from safemanip.dynamics import (
+    KinState,
     bias_forces,
     gravity_torque,
     jacobian_dot_qd,
@@ -33,13 +34,16 @@ from safemanip.model import (
 )
 
 
-def step_plant(model, q, qd, tau, tau_ext, dt, fk=None):
+def at_rest(model, q):
+    """State object at configuration ``q`` with zero joint velocity."""
+    return KinState.of(model, q, np.zeros(model.n))
+
+
+def step_plant(kin, tau, tau_ext, dt):
     """Semi-implicit Euler plant step, enough for 1 kHz control loops."""
-    M = mass_matrix(model, q, fk=fk)
-    b = bias_forces(model, q, qd, fk=fk)
-    rhs = tau - b if tau_ext is None else tau + tau_ext - b
-    qd = qd + dt * np.linalg.solve(M, rhs)
-    return q + dt * qd, qd
+    rhs = tau - kin.bias if tau_ext is None else tau + tau_ext - kin.bias
+    qd = kin.qd + dt * np.linalg.solve(kin.M, rhs)
+    return kin.q + dt * qd, qd
 
 
 def run_episode(model, q0, gains, duration, dt, push, params=None,
@@ -59,27 +63,27 @@ def run_episode(model, q0, gains, duration, dt, push, params=None,
            "state": st}
     for i in range(int(round(duration / dt))):
         t = i * dt
-        fk = forward_kinematics(model, q)
+        kin = KinState.of(model, q, qd)
+        fk = kin.frames
         tau_ext = None
         if t_on <= t < t_off:
             if p_local is None:
                 p_local = fk[link].inverse().apply(fk[link + 1].translation)
             p_world = fk[link].apply(p_local)
-            Jc = point_jacobian_world(model, q, link, p_world, fk=fk)
+            Jc = point_jacobian_world(model, fk, link, p_world)
             tau_ext = Jc.T @ force
         if reference is not None:
             q_des, qd_des = reference(t)
         else:
             q_des, qd_des = q0, np.zeros(n)
-        mode, tau = mode_step(st, model, t, dt, q, qd, q_des, qd_des, gains,
-                              fk=fk)
+        mode, tau = mode_step(st, model, t, dt, kin, q_des, qd_des, gains)
         rec["t"].append(t)
         rec["mode"].append(mode)
         rec["r"].append(st.r_hat.copy())
         rec["q"].append(q.copy())
         rec["link"].append(st.contact.link_index if st.contact else -1)
         rec["n_c"].append(st.contact.n_c.copy() if st.contact else None)
-        q, qd = step_plant(model, q, qd, tau, tau_ext, dt, fk=fk)
+        q, qd = step_plant(kin, tau, tau_ext, dt)
     rec["r"] = np.array(rec["r"])
     rec["q"] = np.array(rec["q"])
     return rec
@@ -144,8 +148,9 @@ class TestTrackingTorque:
         gains = GainSet.default(2)
         q = np.array([0.4, 1.2])
         qd = np.array([0.3, -0.2])
-        tau = tracking_torque(m, q, qd, q, qd, gains)
-        np.testing.assert_allclose(tau, bias_forces(m, q, qd), rtol=0, atol=0)
+        tau = tracking_torque(KinState.of(m, q, qd), q, qd, gains)
+        np.testing.assert_allclose(tau, bias_forces(m, forward_kinematics(m, q), qd),
+                                   rtol=0, atol=0)
 
     def test_feedforward_only_when_outer_loop_off(self, planar2r_gravity):
         m = planar2r_gravity
@@ -156,30 +161,35 @@ class TestTrackingTorque:
         qd = np.array([0.3, -0.2])
         q_des = q + np.array([0.1, -0.05])
         qd_des = qd + np.array([-0.02, 0.04])
-        tau = tracking_torque(m, q, qd, q_des, qd_des, gains)
-        M = mass_matrix(m, q)
+        tau = tracking_torque(KinState.of(m, q, qd), q_des, qd_des, gains)
+        frames = forward_kinematics(m, q)
+        M = mass_matrix(m, frames)
         expected = M @ (200.0 * (q_des - q) + 10.0 * (qd_des - qd)) \
-            + bias_forces(m, q, qd)
+            + bias_forces(m, frames, qd)
         np.testing.assert_allclose(tau, expected, rtol=0, atol=0)
 
     def test_gravity_fixed_point_at_rest(self, planar2r_gravity):
         m = planar2r_gravity
         q = np.array([0.7, -0.3])
-        tau = tracking_torque(m, q, np.zeros(2), q, np.zeros(2),
+        tau = tracking_torque(at_rest(m, q), q, np.zeros(2),
                               GainSet.default(2))
-        np.testing.assert_array_equal(tau, gravity_torque(m, q))
+        np.testing.assert_array_equal(tau,
+                                      gravity_torque(m, forward_kinematics(m, q)))
 
     def test_precomputed_terms_change_nothing(self, planar2r_gravity):
+        # one state object is shared by every law of a tick: reading it
+        # twice, after the estimator has, gives the torque of a fresh one
         m = planar2r_gravity
         q = np.array([0.4, 1.2])
         qd = np.array([0.3, -0.2])
         gains = GainSet.default(2)
-        fk = forward_kinematics(m, q)
-        a = tracking_torque(m, q, qd, q + 0.1, qd, gains)
-        b = tracking_torque(m, q, qd, q + 0.1, qd, gains, fk=fk,
-                            M=mass_matrix(m, q, fk=fk),
-                            bias=bias_forces(m, q, qd, fk=fk))
+        shared = KinState.of(m, q, qd)
+        a = tracking_torque(shared, q + 0.1, qd, gains)
+        usde_update(UsdeState(), m, shared, a, 1e-3)
+        b = tracking_torque(shared, q + 0.1, qd, gains)
+        c = tracking_torque(KinState.of(m, q, qd), q + 0.1, qd, gains)
         np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(a, c)
 
     def test_step_target_converges(self, planar2r_gravity):
         # closed loop at 1 kHz, steady-state error under 1e-4 rad in 2 s
@@ -190,8 +200,9 @@ class TestTrackingTorque:
         qd = np.zeros(2)
         q_des = q + np.array([0.3, -0.2])
         for _ in range(2000):
-            tau = tracking_torque(m, q, qd, q_des, np.zeros(2), gains)
-            q, qd = step_plant(m, q, qd, tau, None, dt)
+            kin = KinState.of(m, q, qd)
+            tau = tracking_torque(kin, q_des, np.zeros(2), gains)
+            q, qd = step_plant(kin, tau, None, dt)
         assert np.abs(q - q_des).max() < 1e-4
 
 
@@ -199,7 +210,7 @@ class TestUsde:
     def test_first_call_returns_zero(self, planar2r_gravity):
         m = planar2r_gravity
         st = UsdeState()
-        r = usde_update(st, m, np.array([0.5, 0.8]), np.zeros(2),
+        r = usde_update(st, m, KinState.of(m, np.array([0.5, 0.8]), np.zeros(2)),
                         np.array([1.0, 2.0]), 1e-3)
         np.testing.assert_array_equal(r, 0.0)
         assert st.initialized
@@ -207,23 +218,24 @@ class TestUsde:
     def test_requires_positive_dt(self, planar2r_gravity):
         st = UsdeState()
         with pytest.raises(ValueError, match="dt"):
-            usde_update(st, planar2r_gravity, np.zeros(2), np.zeros(2),
+            usde_update(st, planar2r_gravity,
+                        KinState.of(planar2r_gravity, np.zeros(2), np.zeros(2)),
                         np.zeros(2), 0.0)
 
     @staticmethod
     def _static_step_response(model, k, dt, n_ticks):
         # hold the arm still, then step the balance torque so the filters see
         # a clean external-torque step
-        q = np.array([0.5, 0.8])
+        kin = KinState.of(model, np.array([0.5, 0.8]), np.zeros(2))
         tau_ext = np.array([2.0, 0.0])
-        g = gravity_torque(model, q)
+        g = gravity_torque(model, kin.frames)
         st = UsdeState(k=k)
-        usde_update(st, model, q, np.zeros(2), g, dt)
+        usde_update(st, model, kin, g, dt)
         for _ in range(50):
-            usde_update(st, model, q, np.zeros(2), g, dt)
+            usde_update(st, model, kin, g, dt)
         hist = []
         for _ in range(n_ticks):
-            hist.append(usde_update(st, model, q, np.zeros(2), g - tau_ext, dt))
+            hist.append(usde_update(st, model, kin, g - tau_ext, dt))
         return np.array(hist), tau_ext
 
     def test_constant_torque_recovered_within_two_percent(self, planar2r_gravity):
@@ -262,30 +274,31 @@ class TestUsde:
         assert all(md is Mode.TRACKING for md in rec["mode"])
 
     def test_precomputed_terms_change_nothing(self, planar2r_gravity):
+        # a state object reused across ticks and laws reads the same as one
+        # built fresh for every call: no consumer writes into it
         m = planar2r_gravity
         q = np.array([0.3, 0.9])
         qd = np.array([0.2, -0.4])
         tau = np.array([1.0, -2.0])
         sa, sb = UsdeState(), UsdeState()
-        fk = forward_kinematics(m, q)
-        M = mass_matrix(m, q, fk=fk)
-        b = bias_forces(m, q, qd, fk=fk)
+        shared = KinState.of(m, q, qd)
         for _ in range(3):
-            ra = usde_update(sa, m, q, qd, tau, 1e-3)
-            rb = usde_update(sb, m, q, qd, tau, 1e-3, fk=fk, M=M, bias=b)
+            ra = usde_update(sa, m, KinState.of(m, q, qd), tau, 1e-3)
+            tracking_torque(shared, q, qd, GainSet.default(2))
+            rb = usde_update(sb, m, shared, tau, 1e-3)
             np.testing.assert_array_equal(ra, rb)
 
 
 class TestDetection:
     def test_below_threshold_is_none(self, panda7):
         r = np.full(7, 0.5)
-        assert detect_contact(r, panda7, np.zeros(7), 3.0) is None
+        assert detect_contact(r, panda7, at_rest(panda7, np.zeros(7)), 3.0) is None
 
     def test_single_exceeding_joint_names_its_link(self, panda7):
         q = np.array([0.0, -0.6, 0.0, -2.0, 0.0, 1.6, 0.8])
         r = np.zeros(7)
         r[3] = 5.0
-        info = detect_contact(r, panda7, q, 3.0, t=1.5)
+        info = detect_contact(r, panda7, at_rest(panda7, q), 3.0, t=1.5)
         assert info is not None
         assert info.link_index == 3
         assert info.detected_at == 1.5
@@ -296,14 +309,14 @@ class TestDetection:
         r = np.zeros(7)
         r[2] = 4.0
         r[5] = 6.0
-        info = detect_contact(r, panda7, q, 3.0)
+        info = detect_contact(r, panda7, at_rest(panda7, q), 3.0)
         assert info.link_index == 5
 
     def test_negative_estimate_counts(self, panda7):
         q = np.array([0.0, -0.6, 0.0, -2.0, 0.0, 1.6, 0.8])
         r = np.zeros(7)
         r[3] = -4.5
-        assert detect_contact(r, panda7, q, 3.0).link_index == 3
+        assert detect_contact(r, panda7, at_rest(panda7, q), 3.0).link_index == 3
 
     def test_degenerate_direction_returns_none(self, panda7, caplog):
         # an estimate in the null space of the contact Jacobian carries no
@@ -311,15 +324,14 @@ class TestDetection:
         q = np.array([0.0, -0.6, 0.0, -2.0, 0.0, 1.6, 0.8])
         link = 4
         fk = forward_kinematics(panda7, q)
-        Jc = point_jacobian_world(panda7, q, link, fk[link + 1].translation,
-                                  fk=fk)
+        Jc = point_jacobian_world(panda7, fk, link, fk[link + 1].translation)
         _, _, Vt = np.linalg.svd(Jc)
         null = Vt[3:]
         r = null[np.argmax(np.abs(null[:, link]))]
         r = r * (4.0 / abs(r[link]))
         np.testing.assert_allclose(Jc @ r, 0.0, atol=1e-9)
         with caplog.at_level(logging.WARNING, logger="safemanip.controller"):
-            assert detect_contact(r, panda7, q, 3.0) is None
+            assert detect_contact(r, panda7, at_rest(panda7, q), 3.0) is None
         assert "degenerate" in caplog.text
 
 
@@ -331,8 +343,8 @@ class TestReducedContactJacobian:
         fk = forward_kinematics(m, q)
         tip = fk[2].translation
         F = np.array([0.6, -0.8, 0.0]) * 20.0
-        Jc = point_jacobian_world(m, q, 1, tip, fk=fk)
-        n_c, J_tilde = reduced_contact_jacobian(m, q, 1, Jc.T @ F)
+        Jc = point_jacobian_world(m, fk, 1, tip)
+        n_c, J_tilde = reduced_contact_jacobian(m, at_rest(m, q), 1, Jc.T @ F)
         angle = np.degrees(np.arccos(np.clip(n_c @ (F / 20.0), -1.0, 1.0)))
         assert angle < 5.0
         np.testing.assert_allclose(n_c, F / 20.0, atol=1e-9)
@@ -347,7 +359,8 @@ class TestReducedContactJacobian:
         r = np.zeros(7)
         r[link] = 4.0
         r[1] = -6.0
-        n_c, J_tilde = reduced_contact_jacobian(m, q, link, r)
+        n_c, J_tilde = reduced_contact_jacobian(m, KinState.of(m, q, qd), link,
+                                                r)
         h = 1e-6
         pp = forward_kinematics(m, q + h * qd)[link + 1].translation
         pm = forward_kinematics(m, q - h * qd)[link + 1].translation
@@ -357,26 +370,25 @@ class TestReducedContactJacobian:
     def test_degenerate_raises(self, panda7):
         q = np.array([0.0, -0.6, 0.0, -2.0, 0.0, 1.6, 0.8])
         with pytest.raises(DegenerateContactError):
-            reduced_contact_jacobian(panda7, q, 3, np.zeros(7))
+            reduced_contact_jacobian(panda7, at_rest(panda7, q), 3, np.zeros(7))
 
 
 class TestContactSafeTorque:
     def _setup(self, model, q, qd):
-        fk = forward_kinematics(model, q)
-        J = body_jacobian(model, q, fk=fk)
-        td = task_dynamics_from_jacobian(model, q, qd, J,
-                                         jacobian_dot_qd(model, q, qd))
-        return fk, J, td
+        kin = KinState.of(model, q, qd)
+        J = body_jacobian(model, kin.frames)
+        td = task_dynamics_from_jacobian(kin, J, jacobian_dot_qd(model, q, qd))
+        return kin, J, td
 
     def test_pure_bias_compensation(self, panda7):
         # no estimate, no drive, already at the desired state
         q = np.array([0.0, -0.6, 0.0, -2.0, 0.0, 1.6, 0.8])
         qd = np.array([0.2, -0.1, 0.3, 0.1, -0.2, 0.15, 0.1])
-        fk, J, td = self._setup(panda7, q, qd)
+        kin, J, td = self._setup(panda7, q, qd)
         info = ContactInfo(link_index=4, r_hat=np.zeros(7),
                            n_c=np.array([0.0, 0.0, 1.0]),
                            J_tilde=np.zeros(7), detected_at=0.0)
-        tau = contact_safe_torque(panda7, q, qd, fk[-1], J @ qd, info,
+        tau = contact_safe_torque(panda7, kin, kin.frames[-1], J @ qd, info,
                                   np.zeros(7), GainSet.default(7), 0.0)
         np.testing.assert_allclose(tau, J.T @ td.eta, atol=1e-10)
 
@@ -385,10 +397,10 @@ class TestContactSafeTorque:
         for _ in range(5):
             q = rng.uniform(-1.2, 1.2, 7)
             qd = rng.uniform(-0.5, 0.5, 7)
-            fk, J, td = self._setup(panda7, q, qd)
+            kin, J, td = self._setup(panda7, q, qd)
             r = rng.normal(0.0, 5.0, 7)
             r[5:] = 0.0
-            n_c, J_tilde = reduced_contact_jacobian(panda7, q, 4, r, fk=fk)
+            n_c, J_tilde = reduced_contact_jacobian(panda7, kin, 4, r)
             N_t = np.eye(7) - J.T @ td.Jbar.T
             react = N_t @ (J_tilde * 2.5)
             assert np.abs(td.Jbar.T @ react).max() < 1e-8
@@ -397,11 +409,11 @@ class TestContactSafeTorque:
         for _ in range(5):
             q = rng.uniform(-1.2, 1.2, 7)
             qd = rng.uniform(-0.5, 0.5, 7)
-            fk, J, td = self._setup(panda7, q, qd)
-            M = mass_matrix(panda7, q, fk=fk)
+            kin, J, td = self._setup(panda7, q, qd)
+            M = mass_matrix(panda7, forward_kinematics(panda7, q))
             r = rng.normal(0.0, 5.0, 7)
             r[5:] = 0.0
-            n_c, J_tilde = reduced_contact_jacobian(panda7, q, 4, r, fk=fk)
+            n_c, J_tilde = reduced_contact_jacobian(panda7, kin, 4, r)
             N_t = np.eye(7) - J.T @ td.Jbar.T
             acc = J @ np.linalg.solve(M, N_t @ (J_tilde * 3.0))
             assert np.abs(acc).max() < 1e-6
@@ -412,21 +424,22 @@ class TestContactSafeTorque:
         ctl._warned_once.discard("singular-task")
         m = planar2r
         q = np.array([0.4, 1.2])
-        fk = forward_kinematics(m, q)
+        kin = at_rest(m, q)
+        fk = kin.frames
         tip = fk[2].translation
-        Jc = point_jacobian_world(m, q, 1, tip, fk=fk)
+        Jc = point_jacobian_world(m, fk, 1, tip)
         r = Jc.T @ np.array([0.0, -10.0, 0.0])
-        n_c, J_tilde = reduced_contact_jacobian(m, q, 1, r, fk=fk)
+        n_c, J_tilde = reduced_contact_jacobian(m, kin, 1, r)
         info = ContactInfo(link_index=1, r_hat=r, n_c=n_c, J_tilde=J_tilde,
                            detected_at=0.0)
         with caplog.at_level(logging.WARNING, logger="safemanip.controller"):
-            tau = contact_safe_torque(m, q, np.zeros(2), fk[-1], np.zeros(6),
+            tau = contact_safe_torque(m, kin, fk[-1], np.zeros(6),
                                       info, r, GainSet.default(2), 1.0)
         assert "singular" in caplog.text
         assert np.all(np.isfinite(tau))
         caplog.clear()
         with caplog.at_level(logging.WARNING, logger="safemanip.controller"):
-            contact_safe_torque(m, q, np.zeros(2), fk[-1], np.zeros(6),
+            contact_safe_torque(m, kin, fk[-1], np.zeros(6),
                                 info, r, GainSet.default(2), 1.0)
         assert "singular" not in caplog.text
 
@@ -443,10 +456,11 @@ class TestModeMachine:
         m = planar2r_gravity
         st = ControllerState.create(2)
         q = np.array([0.4, 1.2])
-        mode, tau = mode_step(st, m, 0.0, 1e-3, q, np.zeros(2), q,
-                              np.zeros(2), GainSet.default(2))
+        mode, tau = mode_step(st, m, 0.0, 1e-3, at_rest(m, q), q, np.zeros(2),
+                              GainSet.default(2))
         assert mode is Mode.TRACKING
-        np.testing.assert_array_equal(tau, gravity_torque(m, q))
+        np.testing.assert_array_equal(tau,
+                                      gravity_torque(m, forward_kinematics(m, q)))
         np.testing.assert_array_equal(st.r_hat, 0.0)
         assert st.usde.initialized
 
@@ -457,13 +471,13 @@ class TestModeMachine:
         st = ControllerState.create(2)
         q = np.array([0.4, 1.2])
         qd = np.zeros(2)
-        mode_step(st, m, 0.0, 1e-3, q, qd, q, qd, GainSet.default(2))
+        kin = KinState.of(m, q, qd)
+        mode_step(st, m, 0.0, 1e-3, kin, q, qd, GainSet.default(2))
         q_des = q + np.array([0.05, -0.02])
-        mode, tau = mode_step(st, m, 1e-3, 1e-3, q, qd, q_des, np.zeros(2),
+        mode, tau = mode_step(st, m, 1e-3, 1e-3, kin, q_des, np.zeros(2),
                               GainSet.default(2))
         assert mode is Mode.TRACKING
-        expected = tracking_torque(m, q, qd, q_des, np.zeros(2),
-                                   GainSet.default(2))
+        expected = tracking_torque(kin, q_des, np.zeros(2), GainSet.default(2))
         np.testing.assert_array_equal(tau, expected)
 
     def test_full_episode_trace(self, planar2r_gravity):
@@ -512,21 +526,20 @@ class TestModeMachine:
         saw = set()
         for i in range(int(2.4 / dt)):
             t = i * dt
-            fk = forward_kinematics(m, q)
+            kin = KinState.of(m, q, qd)
             tau_ext = None
             pushing = 0.2 <= t < 0.6 or 1.6 <= t < 2.0
             if pushing:
-                tip = fk[2].translation
-                Jc = point_jacobian_world(m, q, 1, tip, fk=fk)
+                tip = kin.frames[2].translation
+                Jc = point_jacobian_world(m, kin.frames, 1, tip)
                 tau_ext = Jc.T @ (30.0 * tip / np.linalg.norm(tip))
-            mode, tau = mode_step(st, m, t, dt, q, qd, q0, np.zeros(2), gains,
-                                  fk=fk)
+            mode, tau = mode_step(st, m, t, dt, kin, q0, np.zeros(2), gains)
             saw.add(mode)
             if mode is Mode.CONTACT_SAFE and latched is None:
                 latched = st.q_pre_contact.copy()
             if t >= 1.6 and st.mode is Mode.CONTACT_SAFE:
                 np.testing.assert_array_equal(st.q_pre_contact, latched)
-            q, qd = step_plant(m, q, qd, tau, tau_ext, dt, fk=fk)
+            q, qd = step_plant(kin, tau, tau_ext, dt)
         assert Mode.RETURNING in saw
         assert st.mode is Mode.CONTACT_SAFE
         assert Mode.RESUME_CHECK not in saw
@@ -541,8 +554,7 @@ class TestModeMachine:
         link = 3
         d = np.array([0.869, -0.004, -0.494])
         d = d / np.linalg.norm(d)
-        Jc = point_jacobian_world(m, q0, link, fk0[link + 1].translation,
-                                  fk=fk0)
+        Jc = point_jacobian_world(m, fk0, link, fk0[link + 1].translation)
         tau_ext = Jc.T @ (35.0 * d)
         assert abs(tau_ext[link]) > 3.5 and np.abs(tau_ext).max() > 14.0
         rec = run_episode(m, q0, GainSet.default(7), 0.6, 1e-3,

@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 
 from safemanip.dynamics import (
+    KinState,
     bias_forces,
     coriolis_matrix,
-    coriolis_transpose_qd,
-    dynamics_terms,
     forward_dynamics,
     gravity_torque,
     inverse_dynamics,
@@ -14,17 +13,25 @@ from safemanip.dynamics import (
     mass_matrix,
     mdot_qd,
     potential_energy,
-    task_dynamics,
     task_dynamics_from_jacobian,
     total_energy,
 )
 from safemanip.model import body_jacobian, forward_kinematics
 from safemanip.robots import planar_chain
+from safemanip.sim import rk4_step
+
+
+def ee_task_dynamics(model, q, qd, damping=0.0):
+    """Task-space dynamics at the end effector (body-frame Jacobian)."""
+    kin = KinState.of(model, q, qd)
+    return task_dynamics_from_jacobian(
+        kin, body_jacobian(model, kin.frames), jacobian_dot_qd(model, q, qd),
+        damping=damping)
 
 
 def test_planar2r_mass_matrix_stretched(planar2r):
     # point masses at the link tips, q2 = 0
-    M = mass_matrix(planar2r, np.zeros(2))
+    M = mass_matrix(planar2r, forward_kinematics(planar2r, np.zeros(2)))
     np.testing.assert_allclose(M, [[5.0, 2.0], [2.0, 1.0]], atol=1e-9)
 
 
@@ -35,12 +42,13 @@ def test_planar2r_mass_matrix_analytic(planar2r, rng):
         c2 = np.cos(q2)
         expect = np.array([[3.0 + 2.0 * c2, 1.0 + c2],
                            [1.0 + c2, 1.0]])
-        np.testing.assert_allclose(mass_matrix(planar2r, [q1, q2]), expect,
-                                   atol=1e-9)
+        M = mass_matrix(planar2r, forward_kinematics(planar2r, [q1, q2]))
+        np.testing.assert_allclose(M, expect, atol=1e-9)
 
 
 def test_planar2r_gravity_stretched(planar2r_gravity):
-    g = gravity_torque(planar2r_gravity, np.zeros(2))
+    g = gravity_torque(planar2r_gravity,
+                       forward_kinematics(planar2r_gravity, np.zeros(2)))
     np.testing.assert_allclose(g, [29.43, 9.81], atol=1e-9)
 
 
@@ -50,7 +58,7 @@ def test_gravity_is_potential_gradient(robot_name, request, rng):
     h = 1e-6
     for _ in range(10):
         q = rng.uniform(-1.2, 1.2, model.n)
-        g = gravity_torque(model, q)
+        g = gravity_torque(model, forward_kinematics(model, q))
         for j in range(model.n):
             dq = np.zeros(model.n)
             dq[j] = h
@@ -71,8 +79,8 @@ def test_mass_matrix_vs_fd_kinetic_energy(planar2r, rng):
             cm = forward_kinematics(planar2r, q - h * qd)[i].apply(link.com)
             v = (cp - cm) / (2 * h)
             ke2 += link.mass * float(v @ v)
-        assert float(qd @ mass_matrix(planar2r, q) @ qd) == pytest.approx(
-            ke2, abs=1e-6)
+        M = mass_matrix(planar2r, forward_kinematics(planar2r, q))
+        assert float(qd @ M @ qd) == pytest.approx(ke2, abs=1e-6)
 
 
 @pytest.mark.parametrize("robot_name", ["planar2r", "planar3r", "panda7"])
@@ -81,7 +89,7 @@ def test_mass_matrix_spd(robot_name, request, rng):
     for _ in range(200):
         q = model.limits.position_lower + rng.random(model.n) * (
             model.limits.position_upper - model.limits.position_lower)
-        M = mass_matrix(model, q)
+        M = mass_matrix(model, forward_kinematics(model, q))
         np.testing.assert_allclose(M, M.T, atol=1e-10)
         assert np.linalg.eigvalsh(M).min() > 0.0
 
@@ -92,7 +100,8 @@ def test_coriolis_qd_matches_rnea(panda7, rng):
         q = rng.uniform(-1.2, 1.2, 7)
         qd = rng.uniform(-2.0, 2.0, 7)
         C = coriolis_matrix(panda7, q, qd)
-        cqd_rnea = bias_forces(panda7, q, qd) - gravity_torque(panda7, q)
+        frames = forward_kinematics(panda7, q)
+        cqd_rnea = bias_forces(panda7, frames, qd) - gravity_torque(panda7, frames)
         np.testing.assert_allclose(C @ qd, cqd_rnea, atol=1e-6)
 
 
@@ -100,9 +109,10 @@ def test_coriolis_vanishes_at_rest(panda7, rng):
     q = rng.uniform(-1.0, 1.0, 7)
     np.testing.assert_allclose(coriolis_matrix(panda7, q, np.zeros(7)), 0.0,
                                atol=1e-8)
+    frames = forward_kinematics(panda7, q)
     np.testing.assert_allclose(
-        bias_forces(panda7, q, np.zeros(7)) - gravity_torque(panda7, q), 0.0,
-        atol=1e-12)
+        bias_forces(panda7, frames, np.zeros(7)) - gravity_torque(panda7, frames),
+        0.0, atol=1e-12)
 
 
 def test_mdot_minus_2c_skew(panda7, rng):
@@ -112,34 +122,42 @@ def test_mdot_minus_2c_skew(panda7, rng):
         qd = rng.uniform(-2.0, 2.0, 7)
         C = coriolis_matrix(panda7, q, qd)
         h = 1e-5
-        Md = (mass_matrix(panda7, q + h * qd)
-              - mass_matrix(panda7, q - h * qd)) / (2 * h)
+        Md = (mass_matrix(panda7, forward_kinematics(panda7, q + h * qd))
+              - mass_matrix(panda7, forward_kinematics(panda7, q - h * qd))) / (2 * h)
         S = Md - 2.0 * C
         v = rng.standard_normal(7)
         assert abs(v @ S @ v) < 1e-7 * max(1.0, float(v @ v))
 
 
 def test_coriolis_transpose_identity(panda7, rng):
-    # C^T qd = Mdot qd - C qd, both via the cheap directional route and the
-    # explicit Christoffel matrix
+    # the estimator's momentum drift bias - Mdot qd equals -C^T qd + g, since
+    # Mdot qd = C qd + C^T qd; the explicit Christoffel matrix is the oracle
     for _ in range(10):
         q = rng.uniform(-1.2, 1.2, 7)
         qd = rng.uniform(-2.0, 2.0, 7)
         C = coriolis_matrix(panda7, q, qd)
-        np.testing.assert_allclose(coriolis_transpose_qd(panda7, q, qd),
-                                   C.T @ qd, atol=1e-5)
+        frames = forward_kinematics(panda7, q)
+        drift = bias_forces(panda7, frames, qd) - mdot_qd(panda7, q, qd)
+        np.testing.assert_allclose(drift,
+                                   -C.T @ qd + gravity_torque(panda7, frames),
+                                   atol=1e-5)
         np.testing.assert_allclose(mdot_qd(panda7, q, qd),
                                    C @ qd + C.T @ qd, atol=1e-5)
 
 
 def test_dynamics_terms_bundle(planar2r_gravity, rng):
+    # the per-state bundle holds M and the bias of its own state, and the
+    # bias splits into the Christoffel C qd plus gravity
+    m = planar2r_gravity
     q = rng.uniform(-1.0, 1.0, 2)
     qd = rng.uniform(-1.0, 1.0, 2)
-    terms = dynamics_terms(planar2r_gravity, q, qd)
-    np.testing.assert_allclose(terms.M, mass_matrix(planar2r_gravity, q))
-    np.testing.assert_allclose(terms.g, gravity_torque(planar2r_gravity, q))
-    np.testing.assert_allclose(terms.C @ qd + terms.g,
-                               bias_forces(planar2r_gravity, q, qd), atol=1e-6)
+    kin = KinState.of(m, q, qd)
+    frames = forward_kinematics(m, q)
+    np.testing.assert_allclose(kin.M, mass_matrix(m, frames))
+    np.testing.assert_allclose(kin.bias, bias_forces(m, frames, qd))
+    np.testing.assert_allclose(
+        coriolis_matrix(m, q, qd) @ qd + gravity_torque(m, frames), kin.bias,
+        atol=1e-6)
 
 
 def test_inverse_forward_roundtrip(panda7, rng):
@@ -147,47 +165,41 @@ def test_inverse_forward_roundtrip(panda7, rng):
         q = rng.uniform(-1.2, 1.2, 7)
         qd = rng.uniform(-2.0, 2.0, 7)
         qdd = rng.uniform(-5.0, 5.0, 7)
-        tau = inverse_dynamics(panda7, q, qd, qdd)
-        np.testing.assert_allclose(forward_dynamics(panda7, q, qd, tau), qdd,
-                                   atol=1e-9)
+        kin = KinState.of(panda7, q, qd)
+        tau = inverse_dynamics(panda7, kin.frames, qd, qdd)
+        np.testing.assert_allclose(forward_dynamics(kin, tau), qdd, atol=1e-9)
 
 
 def test_forward_dynamics_equilibrium(panda7, rng):
     # feeding back the bias exactly holds the arm still
     q = rng.uniform(-1.0, 1.0, 7)
     qd = rng.uniform(-1.0, 1.0, 7)
-    tau = bias_forces(panda7, q, qd)
-    np.testing.assert_allclose(forward_dynamics(panda7, q, qd, tau), 0.0,
-                               atol=1e-9)
+    kin = KinState.of(panda7, q, qd)
+    tau = bias_forces(panda7, forward_kinematics(panda7, q), qd)
+    np.testing.assert_allclose(forward_dynamics(kin, tau), 0.0, atol=1e-9)
 
 
 def test_forward_dynamics_external_torque(planar2r):
-    q = np.zeros(2)
-    qdd0 = forward_dynamics(planar2r, q, np.zeros(2), np.zeros(2))
+    kin = KinState.of(planar2r, np.zeros(2), np.zeros(2))
+    qdd0 = forward_dynamics(kin, np.zeros(2))
     np.testing.assert_allclose(qdd0, 0.0, atol=1e-12)
     te = np.array([1.0, 0.0])
-    qdd = forward_dynamics(planar2r, q, np.zeros(2), np.zeros(2), tau_ext=te)
-    M = mass_matrix(planar2r, q)
+    qdd = forward_dynamics(kin, np.zeros(2), tau_ext=te)
+    M = mass_matrix(planar2r, forward_kinematics(planar2r, np.zeros(2)))
     np.testing.assert_allclose(M @ qdd, te, atol=1e-12)
 
 
 def test_pendulum_energy_conservation():
-    # undamped swing: RK4 at 1 ms for 10 s must hold total energy <1e-4 J
+    # undamped swing: the plant's RK4 at 1 ms for 10 s must hold total
+    # energy <1e-4 J
     model = planar_chain([1.0], [1.0], gravity=(0.0, -9.81, 0.0))
     q = np.array([0.5])
     qd = np.zeros(1)
     dt = 1e-3
     e0 = total_energy(model, q, qd)
     for _ in range(10_000):
-        k1q, k1v = qd, forward_dynamics(model, q, qd, np.zeros(1))
-        k2q = qd + 0.5 * dt * k1v
-        k2v = forward_dynamics(model, q + 0.5 * dt * k1q, k2q, np.zeros(1))
-        k3q = qd + 0.5 * dt * k2v
-        k3v = forward_dynamics(model, q + 0.5 * dt * k2q, k3q, np.zeros(1))
-        k4q = qd + dt * k3v
-        k4v = forward_dynamics(model, q + dt * k3q, k4q, np.zeros(1))
-        q = q + dt / 6.0 * (k1q + 2 * k2q + 2 * k3q + k4q)
-        qd = qd + dt / 6.0 * (k1v + 2 * k2v + 2 * k3v + k4v)
+        q, qd = rk4_step(model, KinState.of(model, q, qd), np.zeros(1), None,
+                         dt)
     assert abs(total_energy(model, q, qd) - e0) < 1e-4
 
 
@@ -201,7 +213,7 @@ def test_kinetic_energy_nonnegative(panda7, rng):
 def test_task_dynamics_symmetric_lambda(panda7, rng):
     q = rng.uniform(-1.0, 1.0, 7)
     qd = rng.uniform(-1.0, 1.0, 7)
-    td = task_dynamics(panda7, q, qd)
+    td = ee_task_dynamics(panda7, q, qd)
     np.testing.assert_allclose(td.Lam, td.Lam.T, atol=1e-9)
     assert np.linalg.eigvalsh(td.Lam).min() > 0.0
 
@@ -209,11 +221,12 @@ def test_task_dynamics_symmetric_lambda(panda7, rng):
 def test_task_dynamics_rest_bias_is_projected_gravity(panda7, rng):
     # at rest eta is gravity mapped through the dynamically consistent inverse
     q = rng.uniform(-1.0, 1.0, 7)
-    td = task_dynamics(panda7, q, np.zeros(7))
-    J = body_jacobian(panda7, q)
-    Minv = np.linalg.inv(mass_matrix(panda7, q))
+    td = ee_task_dynamics(panda7, q, np.zeros(7))
+    frames = forward_kinematics(panda7, q)
+    J = body_jacobian(panda7, frames)
+    Minv = np.linalg.inv(mass_matrix(panda7, frames))
     Lam = np.linalg.inv(J @ Minv @ J.T)
-    expect = Lam @ J @ Minv @ gravity_torque(panda7, q)
+    expect = Lam @ J @ Minv @ gravity_torque(panda7, frames)
     np.testing.assert_allclose(td.eta, expect, atol=1e-8)
 
 
@@ -222,10 +235,12 @@ def test_task_dynamics_scalar_task(planar2r_gravity, rng):
     q = rng.uniform(-1.0, 1.0, 2)
     qd = rng.uniform(-1.0, 1.0, 2)
     J = np.array([[1.0, 0.0]])
-    td = task_dynamics_from_jacobian(planar2r_gravity, q, qd, J, np.zeros(1))
-    Minv = np.linalg.inv(mass_matrix(planar2r_gravity, q))
+    kin = KinState.of(planar2r_gravity, q, qd)
+    td = task_dynamics_from_jacobian(kin, J, np.zeros(1))
+    frames = forward_kinematics(planar2r_gravity, q)
+    Minv = np.linalg.inv(mass_matrix(planar2r_gravity, frames))
     np.testing.assert_allclose(td.Lam, [[1.0 / Minv[0, 0]]], atol=1e-12)
-    expect = td.Lam @ J @ Minv @ bias_forces(planar2r_gravity, q, qd)
+    expect = td.Lam @ J @ Minv @ bias_forces(planar2r_gravity, frames, qd)
     np.testing.assert_allclose(td.eta, expect, atol=1e-12)
 
 
@@ -233,9 +248,10 @@ def test_task_dynamics_null_torque_produces_no_task_acceleration(panda7, rng):
     # (I - J' Jbar') tau moves only the null space: J M^-1 applied to it is 0
     q = rng.uniform(-1.0, 1.0, 7)
     qd = rng.uniform(-0.5, 0.5, 7)
-    td = task_dynamics(panda7, q, qd)
-    J = body_jacobian(panda7, q)
-    Minv = np.linalg.inv(mass_matrix(panda7, q))
+    td = ee_task_dynamics(panda7, q, qd)
+    frames = forward_kinematics(panda7, q)
+    J = body_jacobian(panda7, frames)
+    Minv = np.linalg.inv(mass_matrix(panda7, frames))
     N = np.eye(7) - J.T @ td.Jbar.T
     for _ in range(5):
         tau = rng.standard_normal(7)
@@ -243,8 +259,9 @@ def test_task_dynamics_null_torque_produces_no_task_acceleration(panda7, rng):
 
 
 def test_task_dynamics_damped_at_singularity(planar2r):
-    # stretched-out arm is singular in translation; damped call must succeed
-    td = task_dynamics(planar2r, np.zeros(2), np.zeros(2), damped=True)
+    # stretched-out arm is singular in translation; a damped call (the
+    # controller's fallback damping, 0.1) must succeed
+    td = ee_task_dynamics(planar2r, np.zeros(2), np.zeros(2), damping=0.1)
     assert np.all(np.isfinite(td.Lam))
     assert np.all(np.isfinite(td.eta))
 
@@ -254,8 +271,8 @@ def test_jacobian_dot_qd_fd_consistency(panda7, rng):
     q = rng.uniform(-1.0, 1.0, 7)
     qd = rng.uniform(-1.0, 1.0, 7)
     h = 1e-6
-    Jp = body_jacobian(panda7, q + h * qd)
-    Jm = body_jacobian(panda7, q - h * qd)
+    Jp = body_jacobian(panda7, forward_kinematics(panda7, q + h * qd))
+    Jm = body_jacobian(panda7, forward_kinematics(panda7, q - h * qd))
     expect = (Jp - Jm) / (2 * h) @ qd
     np.testing.assert_allclose(jacobian_dot_qd(panda7, q, qd), expect,
                                atol=1e-5)

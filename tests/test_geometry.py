@@ -9,10 +9,9 @@ from safemanip.geometry import (
     box_capsules,
     closest_pair_per_link,
     distance_gradient,
-    linearized_distance,
     min_distance,
-    pairwise_distances,
 )
+from safemanip.model import forward_kinematics
 from safemanip.se3 import Pose
 
 
@@ -98,11 +97,13 @@ def test_capsule_needs_distinct_endpoints():
 
 
 def test_pairwise_distance_ordering(planar2r):
-    obstacles = [Obstacle(Sphere(0.1), at([0.5, 1.0, 0.0])),
-                 Obstacle(Sphere(0.1), at([1.5, 1.0, 0.0]))]
-    results = pairwise_distances(planar2r, np.zeros(2), obstacles)
+    # one result per collision body, in body order, each naming its closer
+    # obstacle: the first sphere sits over link 0, the second over link 1
+    obstacles = [Obstacle(Sphere(0.1), at([1.5, 1.0, 0.0])),
+                 Obstacle(Sphere(0.1), at([0.5, 1.0, 0.0]))]
+    results = closest_pair_per_link(planar2r, np.zeros(2), obstacles).results
     assert [(r.body_index, r.obstacle_index) for r in results] == [
-        (0, 0), (0, 1), (1, 0), (1, 1)]
+        (0, 1), (1, 0)]
 
 
 def test_closest_pair_per_link_basic(planar2r):
@@ -148,7 +149,7 @@ def test_distance_gradient_vs_fd(planar2r, rng):
         res = sweep.min_result
         if res.distance < 0.05:
             continue
-        grad = distance_gradient(planar2r, q, res)
+        grad = distance_gradient(planar2r, forward_kinematics(planar2r, q), res)
         for j in range(2):
             dq = np.zeros(2)
             dq[j] = h
@@ -163,15 +164,22 @@ def test_distance_gradient_zero_distance_raises(planar2r):
     sweep = closest_pair_per_link(planar2r, np.zeros(2), obstacles)
     assert sweep.min_distance == pytest.approx(0.0, abs=1e-12)
     with pytest.raises(GradientUndefinedError):
-        distance_gradient(planar2r, np.zeros(2), sweep.min_result)
+        distance_gradient(planar2r, forward_kinematics(planar2r, np.zeros(2)),
+                          sweep.min_result)
+
+
+def _linearized(res, grad, q, qk):
+    """First-order distance prediction d + grad (qk - q), as the planner's
+    distance rows use it."""
+    return res.distance + grad @ (qk - q)
 
 
 def test_linearized_distance_at_measurement(planar2r):
     obstacles = [Obstacle(Sphere(0.1), at([1.2, 0.8, 0.0]))]
     q = np.array([0.1, -0.2])
     res = closest_pair_per_link(planar2r, q, obstacles).min_result
-    grad = distance_gradient(planar2r, q, res)
-    assert linearized_distance(res, grad, q, q) == pytest.approx(res.distance)
+    grad = distance_gradient(planar2r, forward_kinematics(planar2r, q), res)
+    assert _linearized(res, grad, q, q) == pytest.approx(res.distance)
 
 
 def test_linearized_distance_first_order(planar2r, rng):
@@ -179,26 +187,17 @@ def test_linearized_distance_first_order(planar2r, rng):
     obstacles = [Obstacle(Sphere(0.1), at([1.2, 0.8, 0.0]))]
     q = np.array([0.1, -0.2])
     res = closest_pair_per_link(planar2r, q, obstacles).min_result
-    grad = distance_gradient(planar2r, q, res)
+    grad = distance_gradient(planar2r, forward_kinematics(planar2r, q), res)
     direction = rng.standard_normal(2)
     direction /= np.linalg.norm(direction)
 
     def remainder(step):
         qk = q + step * direction
         true = closest_pair_per_link(planar2r, qk, obstacles).min_distance
-        return abs(true - linearized_distance(res, grad, q, qk))
+        return abs(true - _linearized(res, grad, q, qk))
 
     r1, r2 = remainder(1e-2), remainder(5e-3)
     assert r2 < 0.35 * r1 + 1e-12
-
-
-def test_linearized_distance_shape_mismatch(planar2r):
-    obstacles = [Obstacle(Sphere(0.1), at([1.2, 0.8, 0.0]))]
-    q = np.array([0.1, -0.2])
-    res = closest_pair_per_link(planar2r, q, obstacles).min_result
-    grad = distance_gradient(planar2r, q, res)
-    with pytest.raises(ValueError):
-        linearized_distance(res, grad, q, np.zeros(3))
 
 
 def test_box_capsules_cover_box(rng):

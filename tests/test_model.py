@@ -65,7 +65,7 @@ def test_fk_rejects_wrong_dimension(planar2r):
 
 
 def test_planar2r_jacobian_stretched(planar2r):
-    J = geometric_jacobian(planar2r, np.zeros(2))
+    J = geometric_jacobian(planar2r, forward_kinematics(planar2r, np.zeros(2)))
     np.testing.assert_allclose(J[3:, 0], [0.0, 2.0, 0.0], atol=1e-12)
     np.testing.assert_allclose(J[3:, 1], [0.0, 1.0, 0.0], atol=1e-12)
     np.testing.assert_allclose(J[:3, 0], [0.0, 0.0, 1.0], atol=1e-12)
@@ -77,20 +77,21 @@ def test_jacobian_matches_finite_differences(robot_name, request, rng):
     model = request.getfixturevalue(robot_name)
     for _ in range(10):
         q = rng.uniform(-1.5, 1.5, model.n)
-        J = geometric_jacobian(model, q)
+        J = geometric_jacobian(model, forward_kinematics(model, q))
         np.testing.assert_allclose(J, fd_jacobian(model, q), atol=1e-5)
 
 
 def test_jacobian_intermediate_frame_zero_downstream(panda7, rng):
     q = rng.uniform(-1.0, 1.0, 7)
-    J3 = geometric_jacobian(panda7, q, frame=3)
+    J3 = geometric_jacobian(panda7, forward_kinematics(panda7, q), frame=3)
     np.testing.assert_allclose(J3[:, 4:], 0.0, atol=0.0)
     assert np.linalg.norm(J3[:, :4]) > 0.0
 
 
 def test_jacobian_invalid_frame(planar2r):
     with pytest.raises(ValueError):
-        geometric_jacobian(planar2r, np.zeros(2), frame=5)
+        geometric_jacobian(planar2r, forward_kinematics(planar2r, np.zeros(2)),
+                           frame=5)
 
 
 def test_point_jacobian_matches_fd(planar3r, rng):
@@ -99,7 +100,8 @@ def test_point_jacobian_matches_fd(planar3r, rng):
     for _ in range(10):
         q = rng.uniform(-1.5, 1.5, 3)
         for link in range(3):
-            Jp = point_jacobian(planar3r, q, link, point)
+            Jp = point_jacobian(planar3r, forward_kinematics(planar3r, q), link,
+                                point)
             Jfd = np.zeros((3, 3))
             for j in range(3):
                 dq = np.zeros(3)
@@ -116,8 +118,8 @@ def test_point_jacobian_world_agrees_with_local(planar3r, rng):
     local = np.array([0.2, -0.1, 0.05])
     world = frames[1].apply(local)
     np.testing.assert_allclose(
-        point_jacobian(planar3r, q, 1, local, fk=frames),
-        point_jacobian_world(planar3r, q, 1, world, fk=frames), atol=1e-12)
+        point_jacobian(planar3r, frames, 1, local),
+        point_jacobian_world(planar3r, frames, 1, world), atol=1e-12)
 
 
 def test_body_jacobian_first_order_pose_diff(panda7, rng):
@@ -128,16 +130,16 @@ def test_body_jacobian_first_order_pose_diff(panda7, rng):
         qd = rng.uniform(-1.0, 1.0, 7)
         Tm = forward_kinematics(panda7, q - eps * qd)[-1]
         Tp = forward_kinematics(panda7, q + eps * qd)[-1]
-        Jb = body_jacobian(panda7, q)
+        Jb = body_jacobian(panda7, forward_kinematics(panda7, q))
         np.testing.assert_allclose(pose_diff(Tm, Tp) / (2 * eps), Jb @ qd,
                                    atol=1e-6)
 
 
 def test_body_and_hybrid_jacobian_agree_at_identity_rotation(planar2r):
     # planar chain at q = 0 has identity EE rotation
-    q = np.zeros(2)
-    np.testing.assert_allclose(body_jacobian(planar2r, q),
-                               geometric_jacobian(planar2r, q), atol=1e-12)
+    frames = forward_kinematics(planar2r, np.zeros(2))
+    np.testing.assert_allclose(body_jacobian(planar2r, frames),
+                               geometric_jacobian(planar2r, frames), atol=1e-12)
 
 
 def test_pseudo_inverse_square():
@@ -217,7 +219,7 @@ def test_null_space_motion_keeps_ee_still(panda7, rng):
     # redundant arm: project a random qd, EE twist should vanish
     for _ in range(10):
         q = rng.uniform(-1.0, 1.0, 7)
-        J = geometric_jacobian(panda7, q)
+        J = geometric_jacobian(panda7, forward_kinematics(panda7, q))
         N = null_projector(J)
         qd = N @ rng.standard_normal(7)
         np.testing.assert_allclose(J @ qd, 0.0, atol=1e-8)

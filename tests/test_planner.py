@@ -59,7 +59,7 @@ def test_reference_twist_pure_rotation():
 
 def test_predicted_twist_matches_jacobian_product(planar2r):
     q = np.array([0.3, -0.4])
-    J = body_jacobian(planar2r, q)
+    J = body_jacobian(planar2r, forward_kinematics(planar2r, q))
     dq = np.array([0.02, -0.01])
     np.testing.assert_allclose(predicted_twist(J, q + dq, q), J @ dq)
 
@@ -67,7 +67,7 @@ def test_predicted_twist_matches_jacobian_product(planar2r):
 def test_predicted_twist_null_motion_is_zero(panda7, rng):
     # a step inside the task null space predicts no end-effector motion
     q = rng.uniform(-1.0, 1.0, panda7.n)
-    J = body_jacobian(panda7, q)
+    J = body_jacobian(panda7, forward_kinematics(panda7, q))
     N = null_projector(J)
     step = N @ rng.standard_normal(panda7.n)
     np.testing.assert_allclose(predicted_twist(J, q + step, q), 0.0, atol=1e-12)

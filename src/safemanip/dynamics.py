@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import RankDeficiencyError, RobotModel, body_jacobian, forward_kinematics
-from .se3 import hat
+from .se3 import cross3, hat
 
 _FD_STEP = 1e-6
 
@@ -81,7 +81,7 @@ def mass_matrix(model: RobotModel, frames) -> np.ndarray:
     for j in range(n):
         a = frames[j].rotation @ model.joints[j].axis
         S[j, :3] = a
-        S[j, 3:] = np.cross(frames[j].translation, a)
+        S[j, 3:] = cross3(frames[j].translation, a)
 
     M = np.zeros((n, n))
     for j in range(n):
@@ -111,11 +111,11 @@ def inverse_dynamics(model: RobotModel, frames, qd, qdd) -> np.ndarray:
     o_prev = np.zeros(3)
     for i in range(n):
         r = origins[i] - o_prev
-        ao = ao_prev + np.cross(al_prev, r) + np.cross(w_prev, np.cross(w_prev, r))
+        ao = ao_prev + cross3(al_prev, r) + cross3(w_prev, cross3(w_prev, r))
         w = w_prev + axes[i] * qd[i]
-        al = al_prev + axes[i] * qdd[i] + np.cross(w_prev, axes[i] * qd[i])
+        al = al_prev + axes[i] * qdd[i] + cross3(w_prev, axes[i] * qd[i])
         rc = coms[i] - origins[i]
-        ac[i] = ao + np.cross(al, rc) + np.cross(w, np.cross(w, rc))
+        ac[i] = ao + cross3(al, rc) + cross3(w, cross3(w, rc))
         omega[i], alpha[i], a_origin[i] = w, al, ao
         w_prev, al_prev, ao_prev, o_prev = w, al, ao, origins[i]
 
@@ -125,11 +125,11 @@ def inverse_dynamics(model: RobotModel, frames, qd, qdd) -> np.ndarray:
     o_child = np.zeros(3)
     for i in range(n - 1, -1, -1):
         F = masses[i] * ac[i]
-        N = inertias[i] @ alpha[i] + np.cross(omega[i], inertias[i] @ omega[i])
+        N = inertias[i] @ alpha[i] + cross3(omega[i], inertias[i] @ omega[i])
         f = F + f_child
-        mom = N + np.cross(coms[i] - origins[i], F)
+        mom = N + cross3(coms[i] - origins[i], F)
         if i < n - 1:
-            mom += n_child + np.cross(o_child - origins[i], f_child)
+            mom += n_child + cross3(o_child - origins[i], f_child)
         tau[i] = axes[i] @ mom
         f_child, n_child, o_child = f, mom, origins[i]
     return tau

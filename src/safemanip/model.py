@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .se3 import Pose, hat, so3_exp
+from .se3 import Pose, cross3, so3_exp
 
 
 class RankDeficiencyError(ValueError):
@@ -141,11 +141,13 @@ def forward_kinematics(model: RobotModel, q: np.ndarray) -> list:
     """World poses of every link frame, then the end-effector (n + 1 poses)."""
     q = model.check_q(q)
     poses = []
-    T = Pose.identity()
+    R, t = np.eye(3), np.zeros(3)
     for joint, qi in zip(model.joints, q):
-        T = T @ joint.origin @ Pose(so3_exp(joint.axis * qi), np.zeros(3))
-        poses.append(T)
-    poses.append(T @ model.ee_frame)
+        o = joint.origin
+        t = R @ o.translation + t
+        R = (R @ o.rotation) @ so3_exp(joint.axis * qi)
+        poses.append(Pose(R, t))
+    poses.append(poses[-1] @ model.ee_frame)
     return poses
 
 
@@ -174,7 +176,7 @@ def geometric_jacobian(model: RobotModel, frames: Sequence[Pose],
     p = target.translation
     for j in range(last + 1):
         J[:3, j] = axes[j]
-        J[3:, j] = np.cross(axes[j], p - origins[j])
+        J[3:, j] = cross3(axes[j], p - origins[j])
     return J
 
 
@@ -187,7 +189,7 @@ def point_jacobian(model: RobotModel, frames: Sequence[Pose], link: int,
     axes, origins = _world_axes_origins(model, frames)
     J = np.zeros((3, model.n))
     for j in range(link + 1):
-        J[:, j] = np.cross(axes[j], p - origins[j])
+        J[:, j] = cross3(axes[j], p - origins[j])
     return J
 
 

@@ -19,8 +19,20 @@ _EPS = 1e-12
 
 def hat(w: np.ndarray) -> np.ndarray:
     """Skew-symmetric matrix of a 3-vector."""
-    x, y, z = w
+    x, y, z = np.asarray(w, dtype=float).tolist()
     return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+
+
+def cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Cross product of two float arrays of shape (3,).
+
+    Forms the same products and differences as ``np.cross``, so the result
+    is bitwise equal, without that function's broadcasting set-up, which
+    costs some thirty times the arithmetic on a single pair.
+    """
+    a0, a1, a2 = a.tolist()
+    b0, b1, b2 = b.tolist()
+    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
 
 
 def vee(S: np.ndarray) -> np.ndarray:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -41,15 +41,6 @@ log = logging.getLogger(__name__)
 _DIRECTION_EPS = 1e-6
 # regularization of the task inertia when the task Jacobian is near singular
 _TASK_DAMPING = 0.1
-_warned_once: set = set()
-
-
-def _warn_once(key: str, msg: str, *args) -> None:
-    """Planar chains trip the rank-deficiency fallback every tick; one line
-    per process is enough."""
-    if key not in _warned_once:
-        _warned_once.add(key)
-        log.warning(msg, *args)
 
 
 class Mode(Enum):
@@ -172,6 +163,8 @@ class ControllerState:
     f_des: float = 0.0
     r_hat: np.ndarray = field(default_factory=lambda: np.zeros(0))
     last_tau: Optional[np.ndarray] = None
+    # ticks on which the contact-safe law damped a near-singular task inertia
+    damped_task_ticks: int = 0
     _release_timer: float = 0.0
     _confirm_timer: float = 0.0
 
@@ -213,14 +206,16 @@ def usde_update(state: UsdeState, model: RobotModel, kin: KinState, tau_cmd,
     the true external torque.  The first call only seeds the filters, so the
     estimate starts at zero.
 
-    The drift is evaluated as bias - Mdot qd, which equals -C' qd + g by the
-    skew symmetry of Mdot - 2C and costs three fewer sweeps per tick.
+    The drift is evaluated as bias - Mdot qd, which equals -C' qd + g since
+    Mdot = C + C'.  The bias comes with ``kin`` and ``mdot_qd`` is one exact
+    pass over its frames, so the estimate needs no forward kinematics and
+    no Coriolis matrix of its own.
     """
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
     tau_cmd = np.asarray(tau_cmd, dtype=float).reshape(-1)
     P = kin.M @ kin.qd
-    H = kin.bias - mdot_qd(model, kin.q, kin.qd)
+    H = kin.bias - mdot_qd(model, kin.frames, kin.qd)
     if not state.initialized:
         state.P_f = P.copy()
         state.H_f = H.copy()
@@ -286,7 +281,7 @@ def detect_contact(r_hat, model: RobotModel, kin: KinState, tau_th: float,
 def contact_safe_torque(model: RobotModel, kin: KinState, T_des: Pose, V_des,
                         contact: ContactInfo, r_hat, gains: GainSet,
                         f_des: float, q_rest=None, k_null: float = 0.0,
-                        d_null: float = 0.0) -> np.ndarray:
+                        d_null: float = 0.0) -> Tuple[np.ndarray, bool]:
     """Hold the latched task while yielding along the contact direction.
 
     Operational-space impedance on the end-effector with the estimated
@@ -296,15 +291,19 @@ def contact_safe_torque(model: RobotModel, kin: KinState, T_des: Pose, V_des,
     toward ``q_rest`` and damper bound the yield: without them a sustained
     push meets no resistance in the null space and winds the joints up
     without limit.
+
+    Returns the torque and whether the task inertia had to be damped
+    because the task Jacobian is near singular (every tick on a chain that
+    cannot span the 6-D task).
     """
     q, qd = kin.q, kin.qd
     J = body_jacobian(model, kin.frames)
-    Jd_qd = jacobian_dot_qd(model, q, qd)
+    Jd_qd = jacobian_dot_qd(model, kin.frames, qd)
+    damped = False
     try:
         td = task_dynamics_from_jacobian(kin, J, Jd_qd)
     except RankDeficiencyError:
-        _warn_once("singular-task",
-                   "task Jacobian near singular, damping the contact-safe law")
+        damped = True
         td = task_dynamics_from_jacobian(kin, J, Jd_qd, damping=_TASK_DAMPING)
     e_pose = pose_diff(kin.frames[-1], T_des)
     V = J @ qd
@@ -316,7 +315,7 @@ def contact_safe_torque(model: RobotModel, kin: KinState, T_des: Pose, V_des,
     tau_null = contact.J_tilde * f_des - d_null * qd
     if q_rest is not None:
         tau_null = tau_null + k_null * (np.asarray(q_rest, dtype=float) - q)
-    return J.T @ F_ff + N_t @ tau_null
+    return J.T @ F_ff + N_t @ tau_null, damped
 
 
 def _latch_task(model: RobotModel, q_des, qd_des):
@@ -385,10 +384,15 @@ def mode_step(state: ControllerState, model: RobotModel, t: float, dt: float,
                 n_c=n_c, J_tilde=n_c @ J_c,
                 detected_at=state.contact.detected_at)
         state.f_des = p.k_f * norm
-        tau = contact_safe_torque(model, kin, state.T_pre, state.V_pre,
-                                  state.contact, r_hat, gains, state.f_des,
-                                  q_rest=state.q_pre_contact,
-                                  k_null=p.k_null, d_null=p.d_null)
+        tau, damped = contact_safe_torque(
+            model, kin, state.T_pre, state.V_pre, state.contact, r_hat, gains,
+            state.f_des, q_rest=state.q_pre_contact, k_null=p.k_null,
+            d_null=p.d_null)
+        if damped:
+            if state.damped_task_ticks == 0:
+                log.warning("task Jacobian near singular at t=%.3f, damping "
+                            "the contact-safe law", t)
+            state.damped_task_ticks += 1
         if np.abs(r_hat).max() < p.release_fraction * p.tau_th:
             state._release_timer += dt
         else:

@@ -2,14 +2,21 @@
 
 ``mass_matrix`` assembles M(q) by composite-rigid-body accumulation in world
 coordinates; ``inverse_dynamics`` is a world-frame recursive Newton-Euler pass
-(gravity enters through a fictitious base acceleration).  The Christoffel-form
-Coriolis matrix is built from central differences of M, which keeps the
-``Mdot = C + C^T`` identity to finite-difference accuracy; it is the oracle of
-the tests.  The 1 kHz estimator path evaluates the momentum drift
-``-C^T qd + g`` as ``bias - mdot_qd`` instead.
+(gravity enters through a fictitious base acceleration).
 
-Per-state convention: ``mass_matrix``, ``inverse_dynamics``, ``bias_forces``
-and ``gravity_torque`` take the ``frames`` of
+The 1 kHz terms are exact.  ``mdot_qd`` is the derivative of M along the
+motion, ``Mdot qd = C qd + C^T qd``, from one forward and one backward pass
+over the links (the CRBA derivative with ``Sdot_j = v_j x S_j`` and
+``Idot_k = v_k x* I_k - I_k v_k x``, Featherstone, *Rigid Body Dynamics
+Algorithms*, 2008; Echeandia & Wensing, arXiv:2010.01033).  The estimator
+evaluates the momentum drift ``-C^T qd + g`` as ``bias - mdot_qd``.
+``jacobian_dot_qd`` is the velocity-product acceleration of the end-effector
+frame, the forward pass with ``qdd = 0``.  The Christoffel-form
+``coriolis_matrix`` is built from central differences of M instead; it is
+independent of that analytic code and is the oracle of the tests.
+
+Per-state convention: ``mass_matrix``, ``inverse_dynamics``, ``bias_forces``,
+``gravity_torque``, ``mdot_qd`` and ``jacobian_dot_qd`` take the ``frames`` of
 :func:`safemanip.model.forward_kinematics` as a required argument.
 :class:`KinState` is the one object computed per state (q, qd): its frames, M
 and bias come from one forward-kinematics pass and one call each of the
@@ -19,14 +26,13 @@ noise is on); the controller laws, ``task_dynamics_from_jacobian``,
 ``forward_dynamics`` and the first RK4 stage read it, the later RK4 stages
 build their own.
 """
-
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import RankDeficiencyError, RobotModel, body_jacobian, forward_kinematics
+from .model import RankDeficiencyError, RobotModel, forward_kinematics
 from .se3 import cross3, hat
 
 _FD_STEP = 1e-6
@@ -192,28 +198,88 @@ def coriolis_matrix(model: RobotModel, q, qd) -> np.ndarray:
     return 0.5 * (mdot + t2 - t3)
 
 
-def mdot_qd(model: RobotModel, q, qd) -> np.ndarray:
-    """Directional derivative ``Mdot qd`` along the current motion (two mass
-    matrix evaluations instead of 2n)."""
-    q = np.asarray(q, dtype=float).reshape(-1)
-    qd = np.asarray(qd, dtype=float).reshape(-1)
-    scale = max(1.0, float(np.linalg.norm(qd)))
-    hh = _FD_STEP / scale
-    dM = (mass_matrix(model, forward_kinematics(model, q + hh * qd))
-          - mass_matrix(model, forward_kinematics(model, q - hh * qd))) / (2 * hh)
-    return dM @ qd
+def _velocity_products(model: RobotModel, frames, qd):
+    """Forward pass at (q, qd) with ``qdd = 0`` and no gravity.
+
+    Entry i of each returned list: world axis of joint i, its origin o_i,
+    the angular velocity of link i, the velocity of the point o_i, and the
+    angular acceleration and the acceleration of o_i that the motion alone
+    produces (the velocity-product terms).
+    """
+    axes, origins, omega, v_origin, alpha, a_origin = [], [], [], [], [], []
+    w = v = al = ao = o_prev = np.zeros(3)
+    for i in range(model.n):
+        o = frames[i].translation
+        axis = frames[i].rotation @ model.joints[i].axis
+        w_rel = axis * qd[i]
+        r = o - o_prev
+        v_rel = cross3(w, r)
+        v = v + v_rel
+        ao = ao + cross3(al, r) + cross3(w, v_rel)
+        al = al + cross3(w, w_rel)
+        w = w + w_rel
+        axes.append(axis)
+        origins.append(o)
+        omega.append(w)
+        v_origin.append(v)
+        alpha.append(al)
+        a_origin.append(ao)
+        o_prev = o
+    return axes, origins, omega, v_origin, alpha, a_origin
 
 
-def jacobian_dot_qd(model: RobotModel, q, qd) -> np.ndarray:
-    """``Jdot qd`` of the body Jacobian by central differences along the
-    motion."""
-    q = np.asarray(q, dtype=float).reshape(-1)
+def mdot_qd(model: RobotModel, frames, qd) -> np.ndarray:
+    """``Mdot qd``, the derivative of M along the motion, exactly.
+
+    Row i is ``S_i' F_i + Sdot_i' H_i``: ``F_i`` is the velocity-product
+    wrench of the subtree of joint i (so ``S_i' F_i`` is ``(C qd)_i``),
+    ``H_i`` its momentum and ``Sdot_i = v_i x S_i`` the rate of the joint
+    axis (so ``Sdot_i' H_i`` is ``(C^T qd)_i``).  At the joint origin o_i
+    the second term reads ``a_i . (L_i x w_i + p_i x v(o_i))`` with the
+    subtree's angular momentum L_i about o_i and linear momentum p_i.
+    """
     qd = np.asarray(qd, dtype=float).reshape(-1)
-    scale = max(1.0, float(np.linalg.norm(qd)))
-    hh = _FD_STEP / scale
-    dJ = (body_jacobian(model, forward_kinematics(model, q + hh * qd))
-          - body_jacobian(model, forward_kinematics(model, q - hh * qd))) / (2 * hh)
-    return dJ @ qd
+    axes, origins, omega, v_origin, alpha, a_origin = \
+        _velocity_products(model, frames, qd)
+    coms, inertias, masses = _world_com_data(model, frames)
+    out = np.empty(model.n)
+    force = moment = momentum = ang_momentum = o_child = np.zeros(3)
+    for i in range(model.n - 1, -1, -1):
+        w = omega[i]
+        rc = coms[i] - origins[i]
+        d = o_child - origins[i]
+        Iw = inertias[i] @ w
+        w_rc = cross3(w, rc)
+        F = masses[i] * (a_origin[i] + cross3(alpha[i], rc) + cross3(w, w_rc))
+        p = masses[i] * (v_origin[i] + w_rc)
+        # subtree wrench and momentum, moments about o_i
+        moment = (inertias[i] @ alpha[i] + cross3(w, Iw) + cross3(rc, F)
+                  + moment + cross3(d, force))
+        ang_momentum = Iw + cross3(rc, p) + ang_momentum + cross3(d, momentum)
+        force = F + force
+        momentum = p + momentum
+        out[i] = axes[i] @ (moment + cross3(ang_momentum, w)
+                            + cross3(momentum, v_origin[i]))
+        o_child = origins[i]
+    return out
+
+
+def jacobian_dot_qd(model: RobotModel, frames, qd) -> np.ndarray:
+    """``Jdot qd`` of the body Jacobian, exactly.
+
+    The rate of ``J_b qd = (R' w, R' v_ee)`` at ``qdd = 0``: the angular
+    velocity-product acceleration and ``a_ee - w x v_ee`` of the
+    end-effector origin, both rotated into the end-effector frame.
+    """
+    qd = np.asarray(qd, dtype=float).reshape(-1)
+    _, origins, omega, v_origin, alpha, a_origin = \
+        _velocity_products(model, frames, qd)
+    ee = frames[-1]
+    r = ee.translation - origins[-1]
+    linear = a_origin[-1] + cross3(alpha[-1], r) - cross3(omega[-1],
+                                                           v_origin[-1])
+    RT = ee.rotation.T
+    return np.concatenate([RT @ alpha[-1], RT @ linear])
 
 
 _TASK_COND_LIMIT = 1e12
@@ -252,16 +318,8 @@ def forward_dynamics(kin: KinState, tau, tau_ext=None) -> np.ndarray:
     return np.linalg.solve(kin.M, total - kin.bias)
 
 
-def kinetic_energy(model: RobotModel, q, qd) -> float:
-    qd = np.asarray(qd, dtype=float).reshape(-1)
-    return 0.5 * float(qd @ mass_matrix(model, forward_kinematics(model, q)) @ qd)
-
-
 def potential_energy(model: RobotModel, q) -> float:
     frames = forward_kinematics(model, q)
     coms, _, masses = _world_com_data(model, frames)
     return -float(np.sum(masses[:, None] * coms * model.gravity[None, :], axis=(0, 1)))
 
-
-def total_energy(model: RobotModel, q, qd) -> float:
-    return kinetic_energy(model, q, qd) + potential_energy(model, q)

@@ -104,6 +104,7 @@ class RunReport:
     per_waypoint_error: tuple
     detections: tuple
     mode_timeline: tuple
+    damped_task_ticks: int
     solves: int
     fallbacks: int
     iterations_mean: float
@@ -141,6 +142,8 @@ class RunReport:
         lines.append("mode timeline:")
         for t, mode in self.mode_timeline:
             lines.append(f"  t={t:.3f} s: {mode}")
+        lines.append("contact-safe ticks with a damped singular task: "
+                     f"{self.damped_task_ticks}")
         lines.append(
             f"solves: {self.solves} ({self.fallbacks} fallbacks), "
             f"iterations mean {self.iterations_mean:.1f} max {self.iterations_max}, "
@@ -359,6 +362,7 @@ def run(scenario: Scenario, out_dir=None) -> RunReport:
         per_waypoint_error=tuple(per_waypoint),
         detections=tuple(detections),
         mode_timeline=tuple(timeline),
+        damped_task_ticks=state.damped_task_ticks,
         solves=len(solve_iters),
         fallbacks=fallbacks,
         iterations_mean=float(np.mean(solve_iters)) if solve_iters else 0.0,

@@ -135,6 +135,27 @@ def check_gravity(models=None, n_configs: int = 25, seed: int = 0,
     return res
 
 
+def check_mdot_power(models=None, n_configs: int = 25, seed: int = 0,
+                     tol: float = 1e-10) -> SuiteResult:
+    """Analytic ``Mdot qd`` against the power identity
+    ``qd' Mdot qd = 2 qd' C qd``, with ``C qd = bias - g`` from RNEA."""
+    res = SuiteResult("mdot-power")
+    for m in _models(models):
+        rng = np.random.default_rng(seed)
+        for _ in range(n_configs):
+            q = _random_q(m, rng)
+            qd = rng.uniform(-2.0, 2.0, m.n)
+            frames = model_mod.forward_kinematics(m, q)
+            power = float(qd @ dynamics.mdot_qd(m, frames, qd))
+            c_qd = (dynamics.bias_forces(m, frames, qd)
+                    - dynamics.gravity_torque(m, frames))
+            want = 2.0 * float(qd @ c_qd)
+            err = abs(power - want) / max(abs(want), 1.0)
+            res.check(err <= tol,
+                      f"{m.name}: power identity error {err:.2e}")
+    return res
+
+
 def check_null_projector(models=None, n_configs: int = 25, seed: int = 0,
                          tol: float = 1e-8) -> SuiteResult:
     """Idempotence and task annihilation of the dynamically consistent
@@ -151,7 +172,7 @@ def check_null_projector(models=None, n_configs: int = 25, seed: int = 0,
             J = model_mod.body_jacobian(m, kin.frames)
             try:
                 td = dynamics.task_dynamics_from_jacobian(
-                    kin, J, dynamics.jacobian_dot_qd(m, q, qd))
+                    kin, J, dynamics.jacobian_dot_qd(m, kin.frames, qd))
             except dynamics.RankDeficiencyError:
                 # identities only hold at full task rank; skip singular draws
                 continue
@@ -289,6 +310,7 @@ def run_suites(models=None, seed: int = 0, n_configs: Optional[int] = None):
         check_jacobians(models, seed=seed, **kw),
         check_mass_matrix(models, seed=seed, **kw),
         check_gravity(models, seed=seed, **kw),
+        check_mdot_power(models, seed=seed, **kw),
         check_null_projector(models, seed=seed, **kw),
         check_defect_closure(models, seed=seed),
         check_qp_oracle(seed=seed),

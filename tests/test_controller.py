@@ -3,7 +3,6 @@ import logging
 import numpy as np
 import pytest
 
-from safemanip import controller as ctl
 from safemanip.controller import (
     ContactInfo,
     ControllerState,
@@ -377,7 +376,8 @@ class TestContactSafeTorque:
     def _setup(self, model, q, qd):
         kin = KinState.of(model, q, qd)
         J = body_jacobian(model, kin.frames)
-        td = task_dynamics_from_jacobian(kin, J, jacobian_dot_qd(model, q, qd))
+        td = task_dynamics_from_jacobian(
+            kin, J, jacobian_dot_qd(model, kin.frames, qd))
         return kin, J, td
 
     def test_pure_bias_compensation(self, panda7):
@@ -388,8 +388,10 @@ class TestContactSafeTorque:
         info = ContactInfo(link_index=4, r_hat=np.zeros(7),
                            n_c=np.array([0.0, 0.0, 1.0]),
                            J_tilde=np.zeros(7), detected_at=0.0)
-        tau = contact_safe_torque(panda7, kin, kin.frames[-1], J @ qd, info,
-                                  np.zeros(7), GainSet.default(7), 0.0)
+        tau, damped = contact_safe_torque(panda7, kin, kin.frames[-1], J @ qd,
+                                          info, np.zeros(7), GainSet.default(7),
+                                          0.0)
+        assert not damped
         np.testing.assert_allclose(tau, J.T @ td.eta, atol=1e-10)
 
     def test_reaction_is_invisible_to_task(self, panda7, rng):
@@ -420,8 +422,8 @@ class TestContactSafeTorque:
 
     def test_singular_task_falls_back_damped(self, planar2r, caplog):
         # a planar arm can never span the 6-D task, so the damped branch is
-        # the normal path there; it has to warn (once) and stay finite
-        ctl._warned_once.discard("singular-task")
+        # the normal path there: the law reports it and stays finite, and
+        # each controller run counts its damped ticks and warns at the first
         m = planar2r
         q = np.array([0.4, 1.2])
         kin = at_rest(m, q)
@@ -432,16 +434,25 @@ class TestContactSafeTorque:
         n_c, J_tilde = reduced_contact_jacobian(m, kin, 1, r)
         info = ContactInfo(link_index=1, r_hat=r, n_c=n_c, J_tilde=J_tilde,
                            detected_at=0.0)
-        with caplog.at_level(logging.WARNING, logger="safemanip.controller"):
-            tau = contact_safe_torque(m, kin, fk[-1], np.zeros(6),
-                                      info, r, GainSet.default(2), 1.0)
-        assert "singular" in caplog.text
+        tau, damped = contact_safe_torque(m, kin, fk[-1], np.zeros(6),
+                                          info, r, GainSet.default(2), 1.0)
+        assert damped
         assert np.all(np.isfinite(tau))
-        caplog.clear()
-        with caplog.at_level(logging.WARNING, logger="safemanip.controller"):
-            contact_safe_torque(m, kin, fk[-1], np.zeros(6),
-                                info, r, GainSet.default(2), 1.0)
-        assert "singular" not in caplog.text
+        for _ in range(2):
+            # a fresh run in the same process: the fallback stays visible
+            st = ControllerState.create(2)
+            st.mode, st.contact = Mode.CONTACT_SAFE, info
+            st.q_pre_contact, st.T_pre, st.V_pre = q, fk[-1], np.zeros(6)
+            caplog.clear()
+            with caplog.at_level(logging.WARNING,
+                                 logger="safemanip.controller"):
+                # the first tick only seeds the estimator
+                for i in range(3):
+                    mode, _ = mode_step(st, m, i * 1e-3, 1e-3, kin, q,
+                                        np.zeros(2), GainSet.default(2))
+            assert mode is Mode.CONTACT_SAFE
+            assert st.damped_task_ticks == 2
+            assert caplog.text.count("singular") == 1
 
 
 class TestModeMachine:

@@ -9,15 +9,14 @@ from safemanip.dynamics import (
     gravity_torque,
     inverse_dynamics,
     jacobian_dot_qd,
-    kinetic_energy,
     mass_matrix,
     mdot_qd,
     potential_energy,
     task_dynamics_from_jacobian,
-    total_energy,
 )
 from safemanip.model import body_jacobian, forward_kinematics
 from safemanip.robots import planar_chain
+from safemanip.se3 import cross3
 from safemanip.sim import rk4_step
 
 
@@ -25,8 +24,8 @@ def ee_task_dynamics(model, q, qd, damping=0.0):
     """Task-space dynamics at the end effector (body-frame Jacobian)."""
     kin = KinState.of(model, q, qd)
     return task_dynamics_from_jacobian(
-        kin, body_jacobian(model, kin.frames), jacobian_dot_qd(model, q, qd),
-        damping=damping)
+        kin, body_jacobian(model, kin.frames),
+        jacobian_dot_qd(model, kin.frames, kin.qd), damping=damping)
 
 
 def test_planar2r_mass_matrix_stretched(planar2r):
@@ -137,12 +136,32 @@ def test_coriolis_transpose_identity(panda7, rng):
         qd = rng.uniform(-2.0, 2.0, 7)
         C = coriolis_matrix(panda7, q, qd)
         frames = forward_kinematics(panda7, q)
-        drift = bias_forces(panda7, frames, qd) - mdot_qd(panda7, q, qd)
+        drift = bias_forces(panda7, frames, qd) - mdot_qd(panda7, frames, qd)
         np.testing.assert_allclose(drift,
                                    -C.T @ qd + gravity_torque(panda7, frames),
                                    atol=1e-5)
-        np.testing.assert_allclose(mdot_qd(panda7, q, qd),
+        np.testing.assert_allclose(mdot_qd(panda7, frames, qd),
                                    C @ qd + C.T @ qd, atol=1e-5)
+
+
+@pytest.mark.parametrize("robot_name", ["planar3r", "panda7"])
+def test_mdot_qd_power_identity(robot_name, request, rng):
+    # qd' Mdot qd = 2 qd' C qd by the skew symmetry of Mdot - 2C, and
+    # C qd = bias - g: an exact oracle with no finite differences
+    model = request.getfixturevalue(robot_name)
+    for _ in range(20):
+        q = rng.uniform(-1.5, 1.5, model.n)
+        qd = rng.uniform(-2.0, 2.0, model.n)
+        frames = forward_kinematics(model, q)
+        c_qd = bias_forces(model, frames, qd) - gravity_torque(model, frames)
+        assert qd @ mdot_qd(model, frames, qd) == pytest.approx(
+            2.0 * qd @ c_qd, rel=1e-10)
+
+
+def test_cross3_matches_np_cross_bitwise(rng):
+    for a, b in rng.standard_normal((200, 2, 3)) * rng.uniform(
+            1e-3, 1e3, (200, 2, 1)):
+        assert np.array_equal(cross3(a, b), np.cross(a, b))
 
 
 def test_dynamics_terms_bundle(planar2r_gravity, rng):
@@ -196,18 +215,24 @@ def test_pendulum_energy_conservation():
     q = np.array([0.5])
     qd = np.zeros(1)
     dt = 1e-3
-    e0 = total_energy(model, q, qd)
+
+    def energy(kin):
+        return 0.5 * float(kin.qd @ kin.M @ kin.qd) + potential_energy(
+            model, kin.q)
+
+    kin = KinState.of(model, q, qd)
+    e0 = energy(kin)
     for _ in range(10_000):
-        q, qd = rk4_step(model, KinState.of(model, q, qd), np.zeros(1), None,
-                         dt)
-    assert abs(total_energy(model, q, qd) - e0) < 1e-4
+        kin = KinState.of(model, *rk4_step(model, kin, np.zeros(1), None, dt))
+    assert abs(energy(kin) - e0) < 1e-4
 
 
 def test_kinetic_energy_nonnegative(panda7, rng):
     for _ in range(20):
         q = rng.uniform(-1.5, 1.5, 7)
         qd = rng.uniform(-3.0, 3.0, 7)
-        assert kinetic_energy(panda7, q, qd) >= 0.0
+        M = mass_matrix(panda7, forward_kinematics(panda7, q))
+        assert 0.5 * float(qd @ M @ qd) >= 0.0
 
 
 def test_task_dynamics_symmetric_lambda(panda7, rng):
@@ -274,5 +299,19 @@ def test_jacobian_dot_qd_fd_consistency(panda7, rng):
     Jp = body_jacobian(panda7, forward_kinematics(panda7, q + h * qd))
     Jm = body_jacobian(panda7, forward_kinematics(panda7, q - h * qd))
     expect = (Jp - Jm) / (2 * h) @ qd
-    np.testing.assert_allclose(jacobian_dot_qd(panda7, q, qd), expect,
-                               atol=1e-5)
+    np.testing.assert_allclose(
+        jacobian_dot_qd(panda7, forward_kinematics(panda7, q), qd), expect,
+        atol=1e-5)
+
+
+def test_planar2r_jacobian_dot_qd_closed_form(planar2r, rng):
+    # unit links: the body-frame linear rows of J are [[s2, 0], [1 + c2, 1]]
+    # and the angular row is constant, so Jdot qd = qd1 qd2 (0, 0, 0, c2, -s2, 0)
+    for _ in range(20):
+        q = rng.uniform(-np.pi, np.pi, 2)
+        qd = rng.uniform(-2.0, 2.0, 2)
+        w2 = qd[0] * qd[1]
+        expect = [0.0, 0.0, 0.0, w2 * np.cos(q[1]), -w2 * np.sin(q[1]), 0.0]
+        np.testing.assert_allclose(
+            jacobian_dot_qd(planar2r, forward_kinematics(planar2r, q), qd),
+            expect, rtol=0.0, atol=1e-12)

@@ -13,7 +13,7 @@ from safemanip.model import (
     robust_null_projector,
     robust_pinv,
 )
-from safemanip.se3 import pose_diff, se3_log
+from safemanip.se3 import Pose, pose_diff, se3_log, so3_exp
 
 
 def fd_jacobian(model, q, h=1e-6):
@@ -57,6 +57,24 @@ def test_fk_returns_n_plus_one_valid_poses(panda7, rng):
         assert len(frames) == 8
         for T in frames:
             assert T.is_valid(tol=1e-9)
+
+
+@pytest.mark.parametrize("robot_name", ["planar3r", "panda7"])
+def test_fk_equals_pose_composition_bitwise(robot_name, request, rng):
+    # the chain of composed Pose objects is the reference: forward
+    # kinematics skips those objects but must not change a bit
+    model = request.getfixturevalue(robot_name)
+    for _ in range(50):
+        q = rng.uniform(-2.5, 2.5, model.n)
+        T = Pose.identity()
+        expect = []
+        for joint, qi in zip(model.joints, q):
+            T = T @ joint.origin @ Pose(so3_exp(joint.axis * qi), np.zeros(3))
+            expect.append(T)
+        expect.append(T @ model.ee_frame)
+        for got, want in zip(forward_kinematics(model, q), expect):
+            assert np.array_equal(got.rotation, want.rotation)
+            assert np.array_equal(got.translation, want.translation)
 
 
 def test_fk_rejects_wrong_dimension(planar2r):

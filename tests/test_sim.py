@@ -1,18 +1,28 @@
 """Golden closed-loop runs: two short panda7 scenarios whose logs must stay
 byte-identical.
 
-The hashes were recorded on commit ff9251c, the last commit before the
-per-state ``KinState`` refactor; this file uses only ``scenario_from_dict`` and
-``sim.run``, so it runs unchanged against that commit::
+The hashes were recorded on the commit that replaced the central-difference
+``mdot_qd`` and ``jacobian_dot_qd`` with the exact terms, the child of
+c483c8e.  The previous hashes (push ``e3c79847...``/``33707ceb...``, noise
+``b415b96b...``/``03eea260...``) were recorded on ff9251c and still hold on
+c483c8e, whose speedups are bitwise.  They changed because the exact terms
+differ from the differences by their truncation error: over these runs the
+logged torques move by at most 3.1e-10 N m, the torque estimate by at most
+1.4e-11 N m and the joint angles by at most 1.4e-13 rad; the mode timeline,
+the detections and the minimum clearance are unchanged, and the noisy run's
+``solves.csv`` is byte-identical.  The two golden tests use only
+``scenario_from_dict`` and ``sim.run``, so they run unchanged against older
+commits, where they report the previous hashes::
 
-    git clone <repo> parent && git -C parent checkout ff9251c
-    PYTHONPATH=parent/src python -m pytest -q tests/test_sim.py
+    git clone <repo> parent && git -C parent checkout c483c8e
+    PYTHONPATH=parent/src python -m pytest -q tests/test_sim.py -k golden
 
 A refactor that changes no arithmetic must leave them unchanged; a change that
 does change the numbers must say why and record new hashes here.
 """
 
 import hashlib
+import logging
 import math
 
 from safemanip.scenario import scenario_from_dict
@@ -45,10 +55,10 @@ NOISE = dict(_BASE, name="golden-noise", duration=0.1, seed=7,
 
 GOLDEN = {
     "golden-push": (
-        "e3c7984725be871eadcd2c4654498b5d283741e93ecce0b723e077876f9caa98",
-        "33707cebf42d6ba46baf839b927f2d3939f4e253094741f5573c8b55e3a12bbd"),
+        "8782efb27641ef0526f316afd55154cfa280275e01c1b1352e2cc1805bd8fdf3",
+        "5bd0ab423ceedd912074beb4b09dfba38800eb3a0add9348220edd0151745d59"),
     "golden-noise": (
-        "b415b96bd602e3a68c7405ece516099374ac725895f670ddf8262f24a702f349",
+        "1da0ff2f798a3afbf687589f5b5f711cbe98ae66034a3b19a18b763da70bd560",
         "03eea2603bdf3ebaf101c4aaa8fa3394daea8369997600433ef81759e98b9f82"),
 }
 
@@ -77,3 +87,32 @@ def test_noisy_run_matches_golden(tmp_path):
     report, hashes = _run(NOISE, tmp_path)
     assert report.ticks == 100
     assert hashes == GOLDEN["golden-noise"]
+
+
+def test_damped_singular_task_is_reported_on_every_run(tmp_path, caplog):
+    # a planar arm cannot span the 6-D task, so the contact-safe law damps
+    # its task inertia on every tick of the reaction; each run in a process
+    # counts those ticks in its report and logs one warning
+    doc = {
+        "name": "planar-push", "robot": "planar2r", "duration": 0.15,
+        "control_rate": 1000, "planner_rate": 20, "q0": [0.4, 1.2],
+        "planner": {"horizon": 8, "dt": 0.05,
+                    "task_selection": [0, 0, 1, 1, 1, 0]},
+        "reference": [{"t": 0.0, "position": [0.892, 1.389, 0.0]}],
+        # 30 N at the tip, pointing away from the base
+        "contact_events": [{"start": 0.01, "end": 0.15, "link": 1,
+                            "force": [16.2, 25.2, 0.0],
+                            "point": [1.0, 0.0, 0.0]}],
+    }
+    for k in range(2):
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="safemanip.controller"):
+            report = run(scenario_from_dict(doc, label=doc["name"]),
+                         out_dir=tmp_path / str(k))
+        # detection at 50 ms, CONTACT_SAFE for the remaining 100 ticks
+        assert report.mode_timeline == ((0.0, "TRACKING"),
+                                        (0.05, "CONTACT_SAFE"))
+        assert report.damped_task_ticks == 100
+        assert ("contact-safe ticks with a damped singular task: 100"
+                in report.as_text())
+        assert caplog.text.count("near singular") == 1

@@ -26,6 +26,7 @@ noise is on); the controller laws, ``task_dynamics_from_jacobian``,
 ``forward_dynamics`` and the first RK4 stage read it, the later RK4 stages
 build their own.
 """
+
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -97,43 +98,59 @@ def mass_matrix(model: RobotModel, frames) -> np.ndarray:
     return M
 
 
+def _forward_pass(model: RobotModel, frames, qd, qdd, a_base):
+    """Link velocities and accelerations, base to tip.
+
+    Entry i of each returned list: the world axis of joint i, its origin
+    o_i, the angular velocity of link i, the velocity of the point o_i, the
+    angular acceleration of link i and the acceleration of o_i, for joint
+    accelerations ``qdd`` and a base that accelerates at ``a_base``.
+    """
+    axes, origins, omega, v_origin, alpha, a_origin = [], [], [], [], [], []
+    w = v = al = o_prev = np.zeros(3)
+    ao = a_base
+    for i in range(model.n):
+        o = frames[i].translation
+        axis = frames[i].rotation @ model.joints[i].axis
+        r = o - o_prev
+        v_rel = cross3(w, r)
+        v = v + v_rel
+        ao = ao + cross3(al, r) + cross3(w, v_rel)
+        w_rel = axis * qd[i]
+        al = al + axis * qdd[i] + cross3(w, w_rel)
+        w = w + w_rel
+        axes.append(axis)
+        origins.append(o)
+        omega.append(w)
+        v_origin.append(v)
+        alpha.append(al)
+        a_origin.append(ao)
+        o_prev = o
+    return axes, origins, omega, v_origin, alpha, a_origin
+
+
 def inverse_dynamics(model: RobotModel, frames, qd, qdd) -> np.ndarray:
     """Joint torques realizing ``qdd`` at state (q, qd):  M qdd + C qd + g."""
     qd = np.asarray(qd, dtype=float).reshape(-1)
     qdd = np.asarray(qdd, dtype=float).reshape(-1)
     n = model.n
     coms, inertias, masses = _world_com_data(model, frames)
-    axes = np.stack([frames[i].rotation @ model.joints[i].axis for i in range(n)])
-    origins = np.stack([frames[i].translation for i in range(n)])
-
-    omega = np.zeros((n, 3))
-    alpha = np.zeros((n, 3))
-    a_origin = np.zeros((n, 3))
-    ac = np.zeros((n, 3))
-
-    w_prev = np.zeros(3)
-    al_prev = np.zeros(3)
-    ao_prev = -model.gravity
-    o_prev = np.zeros(3)
-    for i in range(n):
-        r = origins[i] - o_prev
-        ao = ao_prev + cross3(al_prev, r) + cross3(w_prev, cross3(w_prev, r))
-        w = w_prev + axes[i] * qd[i]
-        al = al_prev + axes[i] * qdd[i] + cross3(w_prev, axes[i] * qd[i])
-        rc = coms[i] - origins[i]
-        ac[i] = ao + cross3(al, rc) + cross3(w, cross3(w, rc))
-        omega[i], alpha[i], a_origin[i] = w, al, ao
-        w_prev, al_prev, ao_prev, o_prev = w, al, ao, origins[i]
+    # gravity enters as an upward acceleration of the base
+    axes, origins, omega, _, alpha, a_origin = _forward_pass(
+        model, frames, qd, qdd, -model.gravity)
 
     tau = np.zeros(n)
     f_child = np.zeros(3)
     n_child = np.zeros(3)  # moment about the child joint origin
     o_child = np.zeros(3)
     for i in range(n - 1, -1, -1):
-        F = masses[i] * ac[i]
-        N = inertias[i] @ alpha[i] + cross3(omega[i], inertias[i] @ omega[i])
+        w = omega[i]
+        rc = coms[i] - origins[i]
+        F = masses[i] * (a_origin[i] + cross3(alpha[i], rc)
+                         + cross3(w, cross3(w, rc)))
+        N = inertias[i] @ alpha[i] + cross3(w, inertias[i] @ w)
         f = F + f_child
-        mom = N + cross3(coms[i] - origins[i], F)
+        mom = N + cross3(rc, F)
         if i < n - 1:
             mom += n_child + cross3(o_child - origins[i], f_child)
         tau[i] = axes[i] @ mom
@@ -198,40 +215,10 @@ def coriolis_matrix(model: RobotModel, q, qd) -> np.ndarray:
     return 0.5 * (mdot + t2 - t3)
 
 
-def _velocity_products(model: RobotModel, frames, qd):
-    """Forward pass at (q, qd) with ``qdd = 0`` and no gravity.
-
-    Entry i of each returned list: world axis of joint i, its origin o_i,
-    the angular velocity of link i, the velocity of the point o_i, and the
-    angular acceleration and the acceleration of o_i that the motion alone
-    produces (the velocity-product terms).
-    """
-    axes, origins, omega, v_origin, alpha, a_origin = [], [], [], [], [], []
-    w = v = al = ao = o_prev = np.zeros(3)
-    for i in range(model.n):
-        o = frames[i].translation
-        axis = frames[i].rotation @ model.joints[i].axis
-        w_rel = axis * qd[i]
-        r = o - o_prev
-        v_rel = cross3(w, r)
-        v = v + v_rel
-        ao = ao + cross3(al, r) + cross3(w, v_rel)
-        al = al + cross3(w, w_rel)
-        w = w + w_rel
-        axes.append(axis)
-        origins.append(o)
-        omega.append(w)
-        v_origin.append(v)
-        alpha.append(al)
-        a_origin.append(ao)
-        o_prev = o
-    return axes, origins, omega, v_origin, alpha, a_origin
-
-
 def mdot_qd(model: RobotModel, frames, qd) -> np.ndarray:
     """``Mdot qd``, the derivative of M along the motion, exactly.
 
-    Row i is ``S_i' F_i + Sdot_i' H_i``: ``F_i`` is the velocity-product
+    Entry i is ``S_i' F_i + Sdot_i' H_i``: ``F_i`` is the velocity-product
     wrench of the subtree of joint i (so ``S_i' F_i`` is ``(C qd)_i``),
     ``H_i`` its momentum and ``Sdot_i = v_i x S_i`` the rate of the joint
     axis (so ``Sdot_i' H_i`` is ``(C^T qd)_i``).  At the joint origin o_i
@@ -239,8 +226,9 @@ def mdot_qd(model: RobotModel, frames, qd) -> np.ndarray:
     subtree's angular momentum L_i about o_i and linear momentum p_i.
     """
     qd = np.asarray(qd, dtype=float).reshape(-1)
-    axes, origins, omega, v_origin, alpha, a_origin = \
-        _velocity_products(model, frames, qd)
+    # qdd = 0 and no gravity: the accelerations the motion alone produces
+    axes, origins, omega, v_origin, alpha, a_origin = _forward_pass(
+        model, frames, qd, np.zeros(model.n), np.zeros(3))
     coms, inertias, masses = _world_com_data(model, frames)
     out = np.empty(model.n)
     force = moment = momentum = ang_momentum = o_child = np.zeros(3)
@@ -272,14 +260,16 @@ def jacobian_dot_qd(model: RobotModel, frames, qd) -> np.ndarray:
     end-effector origin, both rotated into the end-effector frame.
     """
     qd = np.asarray(qd, dtype=float).reshape(-1)
-    _, origins, omega, v_origin, alpha, a_origin = \
-        _velocity_products(model, frames, qd)
+    _, origins, omega, v_origin, alpha, a_origin = _forward_pass(
+        model, frames, qd, np.zeros(model.n), np.zeros(3))
     ee = frames[-1]
+    w, al = omega[-1], alpha[-1]
+    # with r from the last joint origin o to the EE origin, a_ee - w x v_ee
+    # = a_o + al x r + w x (w x r) - w x (v_o + w x r) = a_o + al x r - w x v_o
     r = ee.translation - origins[-1]
-    linear = a_origin[-1] + cross3(alpha[-1], r) - cross3(omega[-1],
-                                                           v_origin[-1])
+    linear = a_origin[-1] + cross3(al, r) - cross3(w, v_origin[-1])
     RT = ee.rotation.T
-    return np.concatenate([RT @ alpha[-1], RT @ linear])
+    return np.concatenate([RT @ al, RT @ linear])
 
 
 _TASK_COND_LIMIT = 1e12
@@ -322,4 +312,3 @@ def potential_energy(model: RobotModel, q) -> float:
     frames = forward_kinematics(model, q)
     coms, _, masses = _world_com_data(model, frames)
     return -float(np.sum(masses[:, None] * coms * model.gravity[None, :], axis=(0, 1)))
-

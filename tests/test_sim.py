@@ -1,9 +1,9 @@
 """Golden closed-loop runs: two short panda7 scenarios whose logs must stay
 byte-identical.
 
-The hashes were recorded on the commit that replaced the central-difference
-``mdot_qd`` and ``jacobian_dot_qd`` with the exact terms, the child of
-c483c8e.  The previous hashes (push ``e3c79847...``/``33707ceb...``, noise
+The hashes were recorded on commit 9345963, which replaced the
+central-difference ``mdot_qd`` and ``jacobian_dot_qd`` with the exact terms.
+The previous hashes (push ``e3c79847...``/``33707ceb...``, noise
 ``b415b96b...``/``03eea260...``) were recorded on ff9251c and still hold on
 c483c8e, whose speedups are bitwise.  They changed because the exact terms
 differ from the differences by their truncation error: over these runs the

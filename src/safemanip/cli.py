@@ -4,7 +4,6 @@ Subcommands::
 
     safemanip run SCENARIO [-o DIR] [--set section.key=value ...]
     safemanip compare SCENARIO_A SCENARIO_B [-o DIR] [--set ...]
-    safemanip bench SCENARIO [-o DIR] [--methods ...] [--horizons ...]
     safemanip validate [-o DIR]
 
 Exit codes are a contract: 0 on success, 1 on configuration errors (bad
@@ -14,16 +13,13 @@ to stdout.
 """
 
 import argparse
-import csv
 import logging
 import sys
 from pathlib import Path
 
-import yaml
-
 from . import validate as validate_mod
-from .scenario import ScenarioError, apply_overrides, scenario_from_dict
-from .sim import SolverAbort, bench_planner, compare_runs, run
+from .scenario import ScenarioError, load_scenario
+from .sim import SolverAbort, compare_runs, run
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -61,44 +57,14 @@ def _build_parser() -> _Parser:
                        default=[], metavar="KEY=VALUE",
                        help="override applied to both scenarios")
 
-    p_bench = sub.add_parser("bench",
-                             help="shooting-method/horizon solve-time table")
-    p_bench.add_argument("scenario")
-    p_bench.add_argument("-o", "--output", default="out")
-    p_bench.add_argument("--methods", default="multiple,single",
-                         help="comma-separated (default: multiple,single)")
-    p_bench.add_argument("--horizons", default="10,30,50",
-                         help="comma-separated node counts (default: 10,30,50)")
-    p_bench.add_argument("--cycles", type=int, default=20,
-                         help="planning cycles per combination (default: 20)")
-    p_bench.add_argument("--repeats", type=int, default=1)
-    p_bench.add_argument("--set", dest="overrides", action="append",
-                         default=[], metavar="KEY=VALUE")
-
     p_val = sub.add_parser("validate", help="run the model property suites")
     p_val.add_argument("-o", "--output", default=None,
                        help="also write the summary into this directory")
     return parser
 
 
-def _load(path: str, overrides):
-    p = Path(path)
-    if not p.exists():
-        raise ScenarioError(f"scenario file not found: {p}")
-    try:
-        doc = yaml.safe_load(p.read_text())
-    except yaml.YAMLError as exc:
-        raise ScenarioError(f"{p}: invalid YAML ({exc})")
-    if overrides:
-        doc = apply_overrides(doc, overrides)
-    try:
-        return scenario_from_dict(doc, base_dir=p.parent, label=p.stem)
-    except ScenarioError as exc:
-        raise ScenarioError(f"{p}: {exc}") from None
-
-
 def _cmd_run(args) -> int:
-    scenario = _load(args.scenario, args.overrides)
+    scenario = load_scenario(args.scenario, args.overrides)
     out = Path(args.output)
     try:
         report = run(scenario, out_dir=out)
@@ -114,8 +80,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    sa = _load(args.scenario_a, args.overrides)
-    sb = _load(args.scenario_b, args.overrides)
+    sa = load_scenario(args.scenario_a, args.overrides)
+    sb = load_scenario(args.scenario_b, args.overrides)
     out = Path(args.output)
     code = EXIT_OK
     reports = []
@@ -144,30 +110,6 @@ def _cmd_compare(args) -> int:
     return code
 
 
-def _cmd_bench(args) -> int:
-    scenario = _load(args.scenario, args.overrides)
-    try:
-        methods = tuple(s.strip() for s in args.methods.split(",") if s.strip())
-        horizons = tuple(int(s) for s in args.horizons.split(",") if s.strip())
-    except ValueError as exc:
-        raise ScenarioError(f"bad bench arguments: {exc}")
-    rows = bench_planner(scenario, methods=methods, horizons=horizons,
-                         cycles=args.cycles, repeats=args.repeats)
-    out = Path(args.output)
-    out.mkdir(parents=True, exist_ok=True)
-    with open(out / "bench.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["method", "N", "mean_ms", "p95_ms", "iterations"])
-        for r in rows:
-            w.writerow([r.method, r.horizon, f"{r.mean_ms:.3f}",
-                        f"{r.p95_ms:.3f}", r.iterations])
-    print(f"{'method':<10} {'N':>4} {'mean_ms':>9} {'p95_ms':>9} {'iters':>7}")
-    for r in rows:
-        print(f"{r.method:<10} {r.horizon:>4} {r.mean_ms:>9.3f} "
-              f"{r.p95_ms:>9.3f} {r.iterations:>7}")
-    return EXIT_OK
-
-
 def _cmd_validate(args) -> int:
     results = validate_mod.run_suites()
     text = validate_mod.summarize(results) + "\n"
@@ -191,8 +133,6 @@ def main(argv=None) -> int:
             return _cmd_run(args)
         if args.command == "compare":
             return _cmd_compare(args)
-        if args.command == "bench":
-            return _cmd_bench(args)
         return _cmd_validate(args)
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -31,7 +31,7 @@ from .se3 import Pose, cross3, so3_exp
 
 
 class RankDeficiencyError(ValueError):
-    """Undamped pseudo-inverse requested at a (near-)singular Jacobian."""
+    """Undamped inverse requested of a (near-)singular task inertia."""
 
 
 @dataclass(frozen=True)
@@ -215,31 +215,6 @@ def body_jacobian(model: RobotModel, frames: Sequence[Pose]) -> np.ndarray:
     return Jb
 
 
-def pseudo_inverse(J: np.ndarray, damping: float = 0.0) -> np.ndarray:
-    """SVD pseudo-inverse ``J^T (J J^T + damping^2 I)^-1``.
-
-    With ``damping == 0`` this is the exact Moore-Penrose inverse and raises
-    :class:`RankDeficiencyError` when the smallest singular value drops below
-    1e-10.
-    """
-    J = np.asarray(J, dtype=float)
-    if J.ndim == 1:
-        J = J.reshape(1, -1)
-    return _pinv_from_svd(np.linalg.svd(J, full_matrices=False), damping)
-
-
-def _pinv_from_svd(svd, damping: float) -> np.ndarray:
-    U, s, Vt = svd
-    if damping == 0.0:
-        if s.size and s.min() < 1e-10:
-            raise RankDeficiencyError(
-                f"smallest singular value {s.min():.3e} below 1e-10")
-        inv_s = 1.0 / s
-    else:
-        inv_s = s / (s ** 2 + damping ** 2)
-    return (Vt.T * inv_s) @ U.T
-
-
 # Damped least squares kicks in automatically near singularities; see the
 # threshold pair below.
 SINGULARITY_THRESHOLD = 1e-4
@@ -247,28 +222,22 @@ AUTO_DAMPING = 1e-6
 
 
 def robust_pinv(J: np.ndarray) -> np.ndarray:
-    """Pseudo-inverse that silently switches to damped least squares when the
-    smallest singular value falls below ``SINGULARITY_THRESHOLD``."""
+    """SVD pseudo-inverse that silently switches to damped least squares
+    ``J^T (J J^T + AUTO_DAMPING^2 I)^-1`` when the smallest singular value
+    falls below ``SINGULARITY_THRESHOLD``."""
     J = np.asarray(J, dtype=float)
     if J.ndim == 1:
         J = J.reshape(1, -1)
-    svd = np.linalg.svd(J, full_matrices=False)
-    s = svd[1]
-    sigma = AUTO_DAMPING if (s.size and s.min() < SINGULARITY_THRESHOLD) else 0.0
-    return _pinv_from_svd(svd, sigma)
-
-
-def null_projector(J: np.ndarray, damping: float = 0.0) -> np.ndarray:
-    """Null-space projector ``N = I - pinv(J) J`` (idempotent, J N = 0)."""
-    J = np.asarray(J, dtype=float)
-    if J.ndim == 1:
-        J = J.reshape(1, -1)
-    n = J.shape[1]
-    Jbar = pseudo_inverse(J, damping=damping)
-    return np.eye(n) - Jbar @ J
+    U, s, Vt = np.linalg.svd(J, full_matrices=False)
+    if s.size and s.min() < SINGULARITY_THRESHOLD:
+        inv_s = s / (s ** 2 + AUTO_DAMPING ** 2)
+    else:
+        inv_s = 1.0 / s
+    return (Vt.T * inv_s) @ U.T
 
 
 def robust_null_projector(J: np.ndarray) -> np.ndarray:
+    """Null-space projector ``N = I - robust_pinv(J) J``."""
     J = np.asarray(J, dtype=float)
     if J.ndim == 1:
         J = J.reshape(1, -1)

@@ -1,6 +1,6 @@
 """Planner configuration with the published defaults."""
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -90,9 +90,6 @@ class MpcConfig:
                 f"unknown planner config keys: {sorted(unknown)} "
                 f"(known: {sorted(known)} plus alias N)")
         return cls(**doc)
-
-    def override(self, **kwargs) -> "MpcConfig":
-        return replace(self, **kwargs)
 
     def stage_weights(self, n: int):
         """Per-joint diagonal weights (q_rep, q_s, r) expanded to size n."""

@@ -104,10 +104,6 @@ class Planner:
         self._last: Optional[MpcSolution] = None
         self._cursor = 0  # how far the stored plan has been consumed
 
-    def reset(self):
-        self._last = None
-        self._cursor = 0
-
     def plan_step(self, x0, T_ref: Pose, obstacles=(),
                   deadline: Optional[float] = None,
                   posture_target=None) -> PlanStep:

@@ -29,10 +29,6 @@ class QpResult:
     working_set: tuple
 
 
-def _is_sparse(M) -> bool:
-    return sp.issparse(M)
-
-
 class _BaseKkt:
     """Factorization of [[H, A_eq'], [A_eq, 0]], reused across active-set
     iterations.
@@ -187,7 +183,7 @@ def feasibility_error(A_eq, b_eq, A_in, b_in, z):
 def solve_qp(H, g, A_eq, b_eq, A_in, b_in, z0,
              max_iters: int = 200, tol: float = 1e-8,
              deadline: Optional[float] = None) -> QpResult:
-    sparse = _is_sparse(H)
+    sparse = sp.issparse(H)
     z = np.array(z0, dtype=float)
     n_in = 0 if A_in is None else A_in.shape[0]
     m_eq = 0 if A_eq is None else A_eq.shape[0]
@@ -286,7 +282,7 @@ def make_feasible(A_eq, b_eq, A_in, b_in, z0, slack_rows,
     if not slack_rows:
         return z0
     ns = len(slack_rows)
-    sparse = _is_sparse(A_in) if A_in is not None else False
+    sparse = sp.issparse(A_in) if A_in is not None else False
     eps = 1e-8
 
     if sparse:

@@ -1,8 +1,10 @@
-"""Robot description files and bundled test chains.
+"""Robot description files.
 
-The on-disk format is a YAML document with one entry per joint and link; see
-``data/robots/panda7.yaml`` for a complete example and the README for the
-field reference.  Bundled models are addressable by bare name.
+The on-disk format is a YAML document with one entry per joint and link;
+:func:`robot_from_dict` is the field reference (required fields, defaults and
+the accepted collision primitives).  The bundled models in ``data/robots/``
+(``planar2r``, ``planar3r``, ``panda7``) are complete examples and are
+addressable by bare name.
 """
 
 from __future__ import annotations
@@ -138,50 +140,3 @@ def load_robot(spec) -> RobotModel:
     if not isinstance(doc, dict):
         raise RobotFileError(f"{path}: document root must be a mapping")
     return robot_from_dict(doc, name=path.stem)
-
-
-def planar_chain(lengths, masses, gravity=(0.0, 0.0, 0.0),
-                 tip_inertia: float = 0.0, collision_radius: float = 0.0,
-                 position_limit: float = 6.0, velocity_limit: float = 4.0,
-                 acceleration_limit: float = 25.0, name: str = "planar") -> RobotModel:
-    """Planar chain in the x-y plane, z joint axes, point masses at link tips.
-
-    With ``tip_inertia == 0`` the textbook point-mass formulas are exact,
-    which keeps the analytic oracles analytic.
-    """
-    lengths = [float(v) for v in lengths]
-    masses = [float(v) for v in masses]
-    if len(lengths) != len(masses):
-        raise ValueError("need one mass per link")
-    joints, links, bodies = [], [], []
-    parent_offset = np.zeros(3)
-    for i, (l, m) in enumerate(zip(lengths, masses)):
-        joints.append(Joint(axis=np.array([0.0, 0.0, 1.0]),
-                            origin=Pose(np.eye(3), parent_offset.copy())))
-        links.append(LinkInertia(mass=m, com=np.array([l, 0.0, 0.0]),
-                                 inertia=tip_inertia * np.eye(3)))
-        if collision_radius > 0.0:
-            bodies.append(CollisionBody(link=i,
-                                        shape=Capsule(radius=collision_radius,
-                                                      a=np.zeros(3),
-                                                      b=np.array([l, 0.0, 0.0])),
-                                        name=f"link{i}"))
-        parent_offset = np.array([l, 0.0, 0.0])
-    n = len(lengths)
-    limits = JointLimits.uniform(n, position_limit, velocity_limit, acceleration_limit)
-    return RobotModel(joints=tuple(joints), links=tuple(links),
-                      ee_frame=Pose(np.eye(3), parent_offset),
-                      collision_bodies=tuple(bodies), gravity=np.asarray(gravity, float),
-                      limits=limits, name=name)
-
-
-def planar_2r(gravity=(0.0, 0.0, 0.0), **kwargs) -> RobotModel:
-    kwargs.setdefault("collision_radius", 0.05)
-    return planar_chain([1.0, 1.0], [1.0, 1.0], gravity=gravity,
-                        name="planar2r", **kwargs)
-
-
-def planar_3r(gravity=(0.0, 0.0, 0.0), **kwargs) -> RobotModel:
-    kwargs.setdefault("collision_radius", 0.05)
-    return planar_chain([0.8, 0.6, 0.4], [1.5, 1.0, 0.5], gravity=gravity,
-                        name="planar3r", **kwargs)

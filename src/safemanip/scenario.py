@@ -438,8 +438,9 @@ def scenario_from_dict(doc: dict, base_dir: Optional[Path] = None,
         usde_k=usde_k, reaction=reaction)
 
 
-def load_scenario(path) -> Scenario:
-    """Parse and validate a scenario file."""
+def load_scenario(path, overrides: Sequence[str] = ()) -> Scenario:
+    """Parse and validate a scenario file after applying ``overrides``
+    (``section.key=value`` strings, see :func:`apply_overrides`)."""
     path = Path(path)
     if not path.exists():
         raise ScenarioError(f"scenario file not found: {path}")
@@ -447,6 +448,8 @@ def load_scenario(path) -> Scenario:
         doc = yaml.safe_load(path.read_text())
     except yaml.YAMLError as exc:
         raise ScenarioError(f"{path}: invalid YAML ({exc})") from exc
+    if isinstance(doc, dict):
+        doc = apply_overrides(doc, overrides)
     try:
         return scenario_from_dict(doc, base_dir=path.parent, label=path.stem)
     except ScenarioError as exc:

@@ -156,7 +156,7 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
-def _per_link_distances(model: RobotModel, sweep, n: int) -> np.ndarray:
+def _per_link_distances(sweep, n: int) -> np.ndarray:
     dists = np.full(n, np.inf)
     for res in sweep.results:
         if res.distance < dists[res.link]:
@@ -306,7 +306,7 @@ def run(scenario: Scenario, out_dir=None) -> RunReport:
             tau_ext = contrib if tau_ext is None else tau_ext + contrib
 
         sweep = closest_pair_per_link(model, q, obstacles, fk=kin.frames)
-        dists = _per_link_distances(model, sweep, n)
+        dists = _per_link_distances(sweep, n)
         np.minimum(min_per_link, dists, out=min_per_link)
         ee = kin.frames[-1]
         T_ref_log = scenario.reference_pose(t) or T_hold
@@ -377,55 +377,6 @@ def run(scenario: Scenario, out_dir=None) -> RunReport:
     if abort_reason is not None:
         raise SolverAbort(abort_reason, report)
     return report
-
-
-@dataclass(frozen=True)
-class BenchRow:
-    """Solve-time aggregate for one (shooting method, horizon) pair."""
-
-    method: str
-    horizon: int
-    mean_ms: float
-    p95_ms: float
-    iterations: int
-
-
-def bench_planner(scenario: Scenario, methods=("multiple", "single"),
-                  horizons=(10, 30, 50), cycles: int = 20,
-                  repeats: int = 1):
-    """Time the planner over methods x horizons on a scenario's scene.
-
-    Each cycle plans from the state reached by perfectly tracking the
-    previous plan's first step (open loop, so the workload exercises warm
-    starts without the plant in the way).  Iteration counts are independent
-    of wall time, so repeated invocations agree on them exactly.
-    """
-    model = scenario.model
-    T_hold = forward_kinematics(model, scenario.q0)[-1]
-    rows = []
-    for method in methods:
-        for N in horizons:
-            cfg = scenario.planner.override(method=method, horizon=N)
-            times = []
-            iterations = 0
-            for _ in range(repeats):
-                planner = Planner(model, cfg)
-                x = np.concatenate([scenario.q0, scenario.qd0])
-                for c in range(cycles):
-                    t = c / scenario.planner_rate
-                    T_ref = scenario.reference_pose(t) or T_hold
-                    obstacles = scenario.obstacles_at(t)
-                    t0 = time.perf_counter()
-                    step = planner.plan_step(x, T_ref, obstacles)
-                    times.append(time.perf_counter() - t0)
-                    iterations += step.solution.iterations
-                    x = np.concatenate([step.q_des, step.qd_des])
-            ms = 1e3 * np.asarray(times)
-            rows.append(BenchRow(
-                method=method, horizon=N, mean_ms=float(ms.mean()),
-                p95_ms=float(np.percentile(ms, 95)),
-                iterations=iterations))
-    return rows
 
 
 @dataclass(frozen=True)

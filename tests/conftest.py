@@ -1,7 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from safemanip.robots import load_robot, planar_2r, planar_3r
+from safemanip.robots import load_robot
 
 
 @pytest.fixture
@@ -11,17 +13,17 @@ def rng():
 
 @pytest.fixture(scope="session")
 def planar2r():
-    return planar_2r()
+    return dataclasses.replace(load_robot("planar2r"), gravity=np.zeros(3))
 
 
 @pytest.fixture(scope="session")
 def planar2r_gravity():
-    return planar_2r(gravity=(0.0, -9.81, 0.0))
+    return load_robot("planar2r")
 
 
 @pytest.fixture(scope="session")
 def planar3r():
-    return planar_3r()
+    return dataclasses.replace(load_robot("planar3r"), gravity=np.zeros(3))
 
 
 @pytest.fixture(scope="session")

@@ -1,0 +1,70 @@
+"""The exit-code contract of ``safemanip``: 0 on success, 1 on configuration
+errors, 2 when the planner aborts beyond its fallback budget."""
+
+import pytest
+import yaml
+
+from safemanip.cli import EXIT_CONFIG, EXIT_OK, EXIT_SOLVER, main
+
+RUN = {
+    "name": "cli-run", "robot": "planar2r", "duration": 0.1,
+    "control_rate": 1000, "planner_rate": 20, "q0": [0.4, 1.2],
+    "planner": {"horizon": 8, "dt": 0.05,
+                "task_selection": [0, 0, 1, 1, 1, 0]},
+    "reference": [{"t": 0.0, "position": [0.8, 1.2, 0.0]}],
+}
+# a sphere around link 0 at q0 violates the distance rows of every QP, so
+# the second consecutive fallback exceeds the budget of one
+ABORT = dict(RUN, name="cli-abort", duration=0.2, fallback_budget=1,
+             obstacles=[{"name": "ball",
+                         "shape": {"type": "sphere", "radius": 0.3},
+                         "position": [0.46, 0.19, 0.0]}])
+
+
+def _scenario(tmp_path, doc):
+    path = tmp_path / "scenario.yaml"
+    path.write_text(doc if isinstance(doc, str) else yaml.safe_dump(doc))
+    return str(path)
+
+
+def test_run_exits_0_writes_report_and_keeps_stderr_empty(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["run", _scenario(tmp_path, RUN), "-o", str(out)]) == EXIT_OK
+    report = (out / "report.txt").read_text()
+    assert "status: completed" in report
+    captured = capsys.readouterr()
+    assert report in captured.out
+    assert captured.err == ""
+
+
+@pytest.mark.parametrize("doc, extra, message", [
+    (None, [], "scenario file not found"),
+    ("robot: [planar2r\n", [], "invalid YAML"),
+    (dict(RUN, durations=0.1), [], "durations"),
+    (RUN, ["--set", "planner.horizons=3"], "horizons"),
+    (RUN, ["--set", "planner.N"], "section.key=value"),
+    ("- planar2r\n", ["--set", "planner.N=3"], "must be a mapping"),
+], ids=["missing-file", "invalid-yaml", "unknown-key", "unknown-nested-key",
+        "malformed-set", "set-on-a-list"])
+def test_configuration_errors_exit_1(tmp_path, capsys, doc, extra, message):
+    path = (str(tmp_path / "absent.yaml") if doc is None
+            else _scenario(tmp_path, doc))
+    argv = ["run", path, "-o", str(tmp_path / "out")] + extra
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert message in err
+
+
+def test_unknown_subcommand_bench_exits_1(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", _scenario(tmp_path, RUN)])
+    assert exc.value.code == EXIT_CONFIG
+
+
+def test_planner_abort_exits_2_and_still_writes_report(tmp_path):
+    out = tmp_path / "out"
+    code = main(["run", _scenario(tmp_path, ABORT), "-o", str(out)])
+    assert code == EXIT_SOLVER
+    assert "ABORTED: planner failed 2 consecutive cycles" in (
+        out / "report.txt").read_text()

@@ -15,7 +15,7 @@ from safemanip.dynamics import (
     task_dynamics_from_jacobian,
 )
 from safemanip.model import body_jacobian, forward_kinematics
-from safemanip.robots import planar_chain
+from safemanip.robots import robot_from_dict
 from safemanip.se3 import cross3
 from safemanip.sim import rk4_step
 
@@ -211,7 +211,10 @@ def test_forward_dynamics_external_torque(planar2r):
 def test_pendulum_energy_conservation():
     # undamped swing: the plant's RK4 at 1 ms for 10 s must hold total
     # energy <1e-4 J
-    model = planar_chain([1.0], [1.0], gravity=(0.0, -9.81, 0.0))
+    model = robot_from_dict({
+        "gravity": [0.0, -9.81, 0.0],
+        "joints": [{"axis": [0, 0, 1]}],
+        "links": [{"mass": 1.0, "com": [1.0, 0.0, 0.0]}]})
     q = np.array([0.5])
     qd = np.zeros(1)
     dt = 1e-3

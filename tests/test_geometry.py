@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from safemanip.geometry import (
+    _CORE_EPS,
     Capsule,
     GradientUndefinedError,
     Obstacle,
@@ -9,6 +12,7 @@ from safemanip.geometry import (
     box_capsules,
     closest_pair_per_link,
     distance_gradient,
+    _segment_closest_points,
     min_distance,
 )
 from safemanip.model import forward_kinematics
@@ -63,6 +67,39 @@ def test_crossed_capsules():
     b = Capsule(0.05, np.array([0.0, -1.0, 0.0]), np.array([0.0, 1.0, 0.0]))
     res = min_distance(a, Pose.identity(), b, at([0.0, 0.0, 0.5]))
     assert res.distance == pytest.approx(0.4, abs=1e-12)
+
+
+def _sampled_segment_distance(p1, q1, p2, q2, samples=201):
+    s = np.linspace(0.0, 1.0, samples)[:, None]
+    a = p1 + s * (q1 - p1)
+    b = p2 + s * (q2 - p2)
+    return np.sqrt(((a[:, None] - b[None]) ** 2).sum(-1)).min()
+
+
+_point = st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3).map(np.array)
+
+
+@settings(derandomize=True, deadline=None)
+@given(_point, _point, _point, _point)
+def test_segment_closest_points_beat_dense_sampling(p1, q1, p2, q2):
+    # below _CORE_EPS a direction pair counts as parallel (pinned below) and
+    # a nonzero core as a point
+    d1, d2 = q1 - p1, q2 - p2
+    n = np.cross(d1, d2)
+    assume(n @ n == 0.0 or n @ n > _CORE_EPS * (d1 @ d1) * (d2 @ d2))
+    assume(all(d @ d == 0.0 or d @ d > _CORE_EPS for d in (d1, d2)))
+    c1, c2 = _segment_closest_points(p1, q1, p2, q2)
+    assert (np.linalg.norm(c1 - c2)
+            <= _sampled_segment_distance(p1, q1, p2, q2) + 1e-12)
+
+
+@pytest.mark.xfail(strict=True, reason="nearly parallel segments take the "
+                   "parallel branch, which keeps s = 0 unless t clamps")
+def test_segment_closest_points_nearly_parallel_sharing_an_end():
+    p1, q1 = np.zeros(3), np.array([0.0, 0.0, 1.0])
+    p2, q2 = q1, np.array([0.0, 1e-5, 0.0])
+    c1, c2 = _segment_closest_points(p1, q1, p2, q2)
+    assert np.linalg.norm(c1 - c2) <= 1e-12
 
 
 def test_distance_symmetry(rng):

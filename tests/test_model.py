@@ -2,14 +2,12 @@ import numpy as np
 import pytest
 
 from safemanip.model import (
-    RankDeficiencyError,
+    AUTO_DAMPING,
     body_jacobian,
     forward_kinematics,
     geometric_jacobian,
-    null_projector,
     point_jacobian,
     point_jacobian_world,
-    pseudo_inverse,
     robust_null_projector,
     robust_pinv,
 )
@@ -160,39 +158,34 @@ def test_body_and_hybrid_jacobian_agree_at_identity_rotation(planar2r):
                                geometric_jacobian(planar2r, frames), atol=1e-12)
 
 
-def test_pseudo_inverse_square():
+def test_robust_pinv_square():
     A = np.array([[2.0, 1.0], [0.5, 3.0]])
-    np.testing.assert_allclose(pseudo_inverse(A), np.linalg.inv(A), atol=1e-12)
+    np.testing.assert_allclose(robust_pinv(A), np.linalg.inv(A), atol=1e-12)
 
 
-def test_pseudo_inverse_wide_moore_penrose(rng):
+def test_robust_pinv_wide_moore_penrose(rng):
     for _ in range(20):
         J = rng.standard_normal((3, 7))
-        Jp = pseudo_inverse(J)
+        Jp = robust_pinv(J)
         np.testing.assert_allclose(J @ Jp @ J, J, atol=1e-9)
         np.testing.assert_allclose(Jp @ J @ Jp, Jp, atol=1e-9)
         np.testing.assert_allclose((J @ Jp).T, J @ Jp, atol=1e-9)
         np.testing.assert_allclose((Jp @ J).T, Jp @ J, atol=1e-9)
 
 
-def test_pseudo_inverse_rank_deficient_raises():
-    J = np.array([[1.0, 2.0], [2.0, 4.0]])  # rank 1
-    with pytest.raises(RankDeficiencyError):
-        pseudo_inverse(J)
-
-
-def test_pseudo_inverse_damped_never_raises():
+def test_robust_pinv_zero_matrix_is_zero():
     J = np.zeros((2, 3))
-    Jp = pseudo_inverse(J, damping=1e-3)
+    Jp = robust_pinv(J)
     np.testing.assert_allclose(Jp, 0.0, atol=1e-12)
 
 
 def test_damped_pinv_formula(rng):
-    J = rng.standard_normal((3, 5))
-    sigma = 0.05
-    expect = J.T @ np.linalg.inv(J @ J.T + sigma ** 2 * np.eye(3))
-    np.testing.assert_allclose(pseudo_inverse(J, damping=sigma), expect,
-                               atol=1e-10)
+    # smallest singular value under the switch threshold: damped branch
+    U, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+    V, _ = np.linalg.qr(rng.standard_normal((5, 3)))
+    J = U @ np.diag([1.0, 0.5, 5e-5]) @ V.T
+    expect = J.T @ np.linalg.inv(J @ J.T + AUTO_DAMPING ** 2 * np.eye(3))
+    np.testing.assert_allclose(robust_pinv(J), expect, rtol=1e-6)
 
 
 def test_robust_pinv_switches_near_singularity():
@@ -207,19 +200,19 @@ def test_robust_pinv_switches_near_singularity():
 def test_null_projector_properties(rng):
     for _ in range(20):
         J = rng.standard_normal((3, 7))
-        N = null_projector(J)
+        N = robust_null_projector(J)
         np.testing.assert_allclose(J @ N, 0.0, atol=1e-8)
         np.testing.assert_allclose(N @ N, N, atol=1e-8)
         np.testing.assert_allclose(N.T, N, atol=1e-8)
 
 
 def test_null_projector_square_full_rank_is_zero():
-    N = null_projector(np.array([[1.0, 0.2], [0.0, 1.0]]))
+    N = robust_null_projector(np.array([[1.0, 0.2], [0.0, 1.0]]))
     np.testing.assert_allclose(N, 0.0, atol=1e-12)
 
 
 def test_null_projector_row_vector():
-    N = null_projector(np.array([1.0, 0.0]))
+    N = robust_null_projector(np.array([1.0, 0.0]))
     np.testing.assert_allclose(N, np.diag([0.0, 1.0]), atol=1e-12)
 
 
@@ -238,6 +231,6 @@ def test_null_space_motion_keeps_ee_still(panda7, rng):
     for _ in range(10):
         q = rng.uniform(-1.0, 1.0, 7)
         J = geometric_jacobian(panda7, forward_kinematics(panda7, q))
-        N = null_projector(J)
+        N = robust_null_projector(J)
         qd = N @ rng.standard_normal(7)
         np.testing.assert_allclose(J @ qd, 0.0, atol=1e-8)

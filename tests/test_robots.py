@@ -6,7 +6,6 @@ from safemanip.model import forward_kinematics
 from safemanip.robots import (
     RobotFileError,
     load_robot,
-    planar_2r,
     robot_from_dict,
 )
 
@@ -77,7 +76,10 @@ def test_box_collision_becomes_capsules():
 
 
 def test_planar_2r_limits_and_gravity_default():
-    model = planar_2r()
-    np.testing.assert_allclose(model.gravity, 0.0)
+    model = load_robot("planar2r")
+    np.testing.assert_allclose(model.gravity, [0.0, -9.81, 0.0])
     np.testing.assert_allclose(model.limits.velocity, [4.0, 4.0])
     np.testing.assert_allclose(model.limits.acceleration, [25.0, 25.0])
+    doc = minimal_doc()
+    del doc["gravity"]
+    np.testing.assert_allclose(robot_from_dict(doc).gravity, [0.0, 0.0, -9.81])

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from safemanip.se3 import (
     ANGULAR,
@@ -75,6 +77,31 @@ def test_se3_log_inverts_exp_beyond_pi():
         back = se3_exp(se3_log(T))
         np.testing.assert_allclose(back.rotation, T.rotation, atol=1e-8)
         np.testing.assert_allclose(back.translation, T.translation, atol=1e-8)
+
+
+@settings(derandomize=True, deadline=None)
+@given(st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3),
+       st.floats(1e-3, np.pi - 1e-3),
+       st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3))
+def test_se3_log_inverts_exp_property(axis, angle, v):
+    # within 1e-3 rad of 0 or pi se3_log loses digits; the cases below pin it
+    axis = np.array(axis)
+    assume(np.linalg.norm(axis) > 0.1)
+    xi = np.concatenate([angle * axis / np.linalg.norm(axis), v])
+    np.testing.assert_allclose(se3_log(se3_exp(xi)), xi, atol=1e-8)
+
+
+@pytest.mark.xfail(strict=True, reason="se3_log loses digits: the inverse "
+                   "left Jacobian cancels near angle 0, arccos of the trace "
+                   "near pi")
+@pytest.mark.parametrize("xi", [
+    [0.0, 0.0, 1e-8, 0.0, 0.0, 0.0],
+    [0.0, 0.0, 1e-6, 0.0, 1.0, 0.0],
+    [0.6 * (np.pi - 1e-5), 0.0, 0.8 * (np.pi - 1e-5), 0.0, 0.0, 0.0],
+], ids=["nan-at-1e-8", "1e-6", "pi-minus-1e-5"])
+def test_se3_log_inverts_exp_near_0_and_pi(xi):
+    xi = np.array(xi)
+    np.testing.assert_allclose(se3_log(se3_exp(xi)), xi, atol=1e-8)
 
 
 def test_se3_exp_pure_translation():

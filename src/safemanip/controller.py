@@ -6,8 +6,10 @@ generalized momentum to recover the external joint torque without force
 sensing.  When the estimate crosses a threshold the controller identifies the
 pushed link, holds the end-effector task with an operational-space law, and
 actively yields along the estimated contact direction inside the task null
-space.  A small mode machine sequences detection, reaction, the guided return
-to the pre-contact configuration, and the resumption of tracking.
+space.  ``isolate_contact`` is the one isolation rule: it names the link on
+detection and re-isolates on every contact-safe tick.  A small mode machine
+sequences detection, reaction, the guided return to the pre-contact
+configuration, and the resumption of tracking.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ import numpy as np
 
 from .dynamics import (
     KinState,
-    RankDeficiencyError,
     jacobian_dot_qd,
     mass_matrix,  # noqa: F401  unused; perfbench/test_perfbench.py looks it up here
     mdot_qd,
@@ -39,8 +40,6 @@ from .se3 import Pose, pose_diff
 log = logging.getLogger(__name__)
 
 _DIRECTION_EPS = 1e-6
-# regularization of the task inertia when the task Jacobian is near singular
-_TASK_DAMPING = 0.1
 
 
 class Mode(Enum):
@@ -48,10 +47,6 @@ class Mode(Enum):
     CONTACT_SAFE = "CONTACT_SAFE"
     RETURNING = "RETURNING"
     RESUME_CHECK = "RESUME_CHECK"
-
-
-class DegenerateContactError(ValueError):
-    """The external-torque estimate carries no usable contact direction."""
 
 
 def _diag(value, size) -> np.ndarray:
@@ -118,7 +113,6 @@ class ContactInfo:
     """Identified contact: pushed link, push direction, reduced Jacobian."""
 
     link_index: int
-    r_hat: np.ndarray
     n_c: np.ndarray
     J_tilde: np.ndarray  # maps qd to the scalar velocity along n_c
     detected_at: float
@@ -229,53 +223,57 @@ def usde_update(state: UsdeState, model: RobotModel, kin: KinState, tau_cmd,
     return (P - state.P_f) / state.k + state.H_f - state.tau_f
 
 
-def _estimated_contact_force(model: RobotModel, frames, link: int, r_hat):
-    """Map the torque estimate to a force at the distal end of ``link``.
+def contact_direction(model: RobotModel, kin: KinState, link: int, r_hat):
+    """Contact direction ``n_c``, scalar Jacobian ``n_c' J_c`` and force norm.
 
-    The exact contact point along the link is unobservable, so the lever arm
-    is taken at the link's far end.
+    The torque estimate is mapped to a force at the distal end of ``link``:
+    the exact contact point along the link is unobservable, so the lever arm
+    is taken at the link's far end.  ``n_c`` and ``J_tilde`` are None when
+    that force is negligible, leaving the direction undefined.
     """
-    p_distal = frames[link + 1].translation
-    J_c = point_jacobian_world(model, frames, link, p_distal)
-    return robust_pinv(J_c).T @ np.asarray(r_hat, dtype=float).reshape(-1), J_c
-
-
-def reduced_contact_jacobian(model: RobotModel, kin: KinState, link: int,
-                             r_hat):
-    """Contact direction ``n_c`` and the scalar Jacobian ``n_c' J_c``.
-
-    Raises :class:`DegenerateContactError` when the torque estimate maps to
-    a negligible contact-frame force, leaving the direction undefined.
-    """
-    f, J_c = _estimated_contact_force(model, kin.frames, link, r_hat)
+    p_distal = kin.frames[link + 1].translation
+    J_c = point_jacobian_world(model, kin.frames, link, p_distal)
+    f = robust_pinv(J_c).T @ np.asarray(r_hat, dtype=float).reshape(-1)
     norm = float(np.linalg.norm(f))
     if norm <= _DIRECTION_EPS:
-        raise DegenerateContactError(
-            f"torque estimate maps to no contact force on link {link}")
+        return None, None, norm
     n_c = f / norm
-    return n_c, n_c @ J_c
+    return n_c, n_c @ J_c, norm
 
 
-def detect_contact(r_hat, model: RobotModel, kin: KinState, tau_th: float,
-                   t: float = 0.0) -> Optional[ContactInfo]:
-    """Threshold test on the torque estimate.
+def isolate_contact(model: RobotModel, kin: KinState, r_hat, tau_th: float,
+                    t: float, current: Optional[ContactInfo]):
+    """The one isolation rule: ``(ContactInfo or None, force norm)``.
 
-    A push on link j loads joints 1..j, so the most distal exceeding joint
-    names the contacted link.  Returns None when nothing exceeds or the
-    direction is degenerate (logged; the caller keeps tracking).
+    A push on link j loads joints 1..j, so the most distal joint whose
+    estimate exceeds ``tau_th`` names the contacted link.  The strongest
+    joint crosses first, which may be proximal to the true contact, so
+    during an episode (``current`` is the ongoing contact) the link only
+    moves outward.  An outward candidate without a direction keeps
+    ``current``'s link, and ``current`` is kept whole if that has none
+    either.  A fresh detection without a direction is declined (logged).
     """
-    r_hat = np.asarray(r_hat, dtype=float).reshape(-1)
     over = np.nonzero(np.abs(r_hat) > tau_th)[0]
-    if over.size == 0:
-        return None
-    link = int(over[-1])
-    try:
-        n_c, J_tilde = reduced_contact_jacobian(model, kin, link, r_hat)
-    except DegenerateContactError:
-        log.warning("contact direction degenerate on link %d, ignoring", link)
-        return None
-    return ContactInfo(link_index=link, r_hat=r_hat.copy(), n_c=n_c,
-                       J_tilde=J_tilde, detected_at=t)
+    if current is None:
+        if over.size == 0:
+            return None, 0.0
+        link = int(over[-1])
+        n_c, J_tilde, norm = contact_direction(model, kin, link, r_hat)
+        if n_c is None:
+            log.warning("contact direction degenerate on link %d, ignoring",
+                        link)
+            return None, norm
+        return ContactInfo(link, n_c, J_tilde, t), norm
+    link = current.link_index
+    if over.size and int(over[-1]) > link:
+        link = int(over[-1])
+    n_c, J_tilde, norm = contact_direction(model, kin, link, r_hat)
+    if n_c is None and link != current.link_index:
+        link = current.link_index
+        n_c, J_tilde, norm = contact_direction(model, kin, link, r_hat)
+    if n_c is None:
+        return current, norm
+    return ContactInfo(link, n_c, J_tilde, current.detected_at), norm
 
 
 def contact_safe_torque(model: RobotModel, kin: KinState, T_des: Pose, V_des,
@@ -299,12 +297,7 @@ def contact_safe_torque(model: RobotModel, kin: KinState, T_des: Pose, V_des,
     q, qd = kin.q, kin.qd
     J = body_jacobian(model, kin.frames)
     Jd_qd = jacobian_dot_qd(model, kin.frames, qd)
-    damped = False
-    try:
-        td = task_dynamics_from_jacobian(kin, J, Jd_qd)
-    except RankDeficiencyError:
-        damped = True
-        td = task_dynamics_from_jacobian(kin, J, Jd_qd, damping=_TASK_DAMPING)
+    td, damped = task_dynamics_from_jacobian(kin, J, Jd_qd)
     e_pose = pose_diff(kin.frames[-1], T_des)
     V = J @ qd
     V_des = np.asarray(V_des, dtype=float).reshape(-1)
@@ -348,41 +341,20 @@ def mode_step(state: ControllerState, model: RobotModel, t: float, dt: float,
     state.r_hat = r_hat
     p = state.params
 
-    if state.mode is not Mode.CONTACT_SAFE:
-        info = detect_contact(r_hat, model, kin, p.tau_th, t=t)
-        if info is not None:
-            if state.mode is Mode.TRACKING:
-                # latch the return target and held task once per episode
-                state.q_pre_contact = q.copy()
-                state.T_pre, state.V_pre = _latch_task(model, q_des, qd_des)
-            state.mode = Mode.CONTACT_SAFE
-            state.contact = info
-            state._release_timer = 0.0
-            log.info("contact on link %d at t=%.3f (max |r|=%.2f N m)",
-                     info.link_index, t, np.abs(r_hat).max())
+    info, norm = isolate_contact(model, kin, r_hat, p.tau_th, t,
+                                 state.contact)
+    if info is not None and state.mode is not Mode.CONTACT_SAFE:
+        if state.mode is Mode.TRACKING:
+            # latch the return target and held task once per episode
+            state.q_pre_contact = q.copy()
+            state.T_pre, state.V_pre = _latch_task(model, q_des, qd_des)
+        state.mode = Mode.CONTACT_SAFE
+        state._release_timer = 0.0
+        log.info("contact on link %d at t=%.3f (max |r|=%.2f N m)",
+                 info.link_index, t, np.abs(r_hat).max())
 
     if state.mode is Mode.CONTACT_SAFE:
-        link = state.contact.link_index
-        # the strongest joint crosses the threshold first, which may be
-        # proximal to the true contact; as the estimate rises, more distal
-        # joints cross and the identification refines outward
-        over = np.nonzero(np.abs(r_hat) > p.tau_th)[0]
-        if over.size and int(over[-1]) > link:
-            link = int(over[-1])
-        f, J_c = _estimated_contact_force(model, kin.frames, link, r_hat)
-        norm = float(np.linalg.norm(f))
-        if norm <= _DIRECTION_EPS and link != state.contact.link_index:
-            # upgrade candidate carries no direction, stay with the old link
-            link = state.contact.link_index
-            f, J_c = _estimated_contact_force(model, kin.frames, link, r_hat)
-            norm = float(np.linalg.norm(f))
-        if norm > _DIRECTION_EPS:
-            # track the evolving push direction while it stays informative
-            n_c = f / norm
-            state.contact = ContactInfo(
-                link_index=link, r_hat=r_hat.copy(),
-                n_c=n_c, J_tilde=n_c @ J_c,
-                detected_at=state.contact.detected_at)
+        state.contact = info
         state.f_des = p.k_f * norm
         tau, damped = contact_safe_torque(
             model, kin, state.T_pre, state.V_pre, state.contact, r_hat, gains,

@@ -25,6 +25,10 @@ tick for the true state (and once more for the measured state when sensor
 noise is on); the controller laws, ``task_dynamics_from_jacobian``,
 ``forward_dynamics`` and the first RK4 stage read it, the later RK4 stages
 build their own.
+
+``task_dynamics_from_jacobian`` damps itself, as ``robust_pinv`` does: a
+near-singular apparent task inertia is regularized, and the second value it
+returns says so.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import RankDeficiencyError, RobotModel, forward_kinematics
+from .model import RobotModel, forward_kinematics
 from .se3 import cross3, hat
 
 _FD_STEP = 1e-6
@@ -273,32 +277,31 @@ def jacobian_dot_qd(model: RobotModel, frames, qd) -> np.ndarray:
 
 
 _TASK_COND_LIMIT = 1e12
+# regularization of the task inertia when the task Jacobian is near singular
+_TASK_DAMPING = 0.1
 
 
-def task_dynamics_from_jacobian(kin: KinState, J, Jdot_qd,
-                                damping: float = 0.0) -> TaskDynamicsTerms:
-    """Operational-space terms for an arbitrary task Jacobian.
+def task_dynamics_from_jacobian(kin: KinState, J, Jdot_qd):
+    """Operational-space terms for an arbitrary task Jacobian, and whether
+    they had to be damped.
 
-    ``Lambda = (J M^-1 J')^-1`` (regularized by ``damping^2 I`` on request),
-    ``Jbar = M^-1 J' Lambda``, ``eta = Jbar'(C qd + g) - Lambda Jdot qd``.
-    Raises :class:`RankDeficiencyError` when the apparent inertia is singular
-    and no damping was given.
+    ``Lambda = (J M^-1 J')^-1``, ``Jbar = M^-1 J' Lambda``,
+    ``eta = Jbar'(C qd + g) - Lambda Jdot qd``.  When the apparent inertia
+    ``J M^-1 J'`` is near singular (condition number above
+    ``_TASK_COND_LIMIT``) it is regularized by ``_TASK_DAMPING^2 I`` and the
+    flag is True.
     """
     J = np.atleast_2d(np.asarray(J, dtype=float))
     MinvJT = np.linalg.solve(kin.M, J.T)
     A = J @ MinvJT
-    m = A.shape[0]
-    if damping > 0.0:
-        Lam = np.linalg.inv(A + damping ** 2 * np.eye(m))
-    else:
-        if np.linalg.cond(A) > _TASK_COND_LIMIT:
-            raise RankDeficiencyError(
-                "apparent task inertia is singular; pass damping > 0")
-        Lam = np.linalg.inv(A)
+    damped = bool(np.linalg.cond(A) > _TASK_COND_LIMIT)
+    if damped:
+        A = A + _TASK_DAMPING ** 2 * np.eye(A.shape[0])
+    Lam = np.linalg.inv(A)
     Lam = 0.5 * (Lam + Lam.T)
     Jbar = MinvJT @ Lam
     eta = Jbar.T @ kin.bias - Lam @ np.asarray(Jdot_qd, dtype=float).reshape(-1)
-    return TaskDynamicsTerms(Lam=Lam, eta=eta, Jbar=Jbar)
+    return TaskDynamicsTerms(Lam=Lam, eta=eta, Jbar=Jbar), damped
 
 
 def forward_dynamics(kin: KinState, tau, tau_ext=None) -> np.ndarray:

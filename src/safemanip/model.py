@@ -30,10 +30,6 @@ import numpy as np
 from .se3 import Pose, cross3, so3_exp
 
 
-class RankDeficiencyError(ValueError):
-    """Undamped inverse requested of a (near-)singular task inertia."""
-
-
 @dataclass(frozen=True)
 class Joint:
     """Revolute joint: fixed ``origin`` transform from the parent frame, then

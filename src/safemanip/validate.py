@@ -170,10 +170,9 @@ def check_null_projector(models=None, n_configs: int = 25, seed: int = 0,
             qd = rng.uniform(-0.5, 0.5, m.n)
             kin = dynamics.KinState.of(m, q, qd)
             J = model_mod.body_jacobian(m, kin.frames)
-            try:
-                td = dynamics.task_dynamics_from_jacobian(
-                    kin, J, dynamics.jacobian_dot_qd(m, kin.frames, qd))
-            except dynamics.RankDeficiencyError:
+            td, damped = dynamics.task_dynamics_from_jacobian(
+                kin, J, dynamics.jacobian_dot_qd(m, kin.frames, qd))
+            if damped:
                 # identities only hold at full task rank; skip singular draws
                 continue
             N_t = np.eye(m.n) - J.T @ td.Jbar.T

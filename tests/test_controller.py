@@ -6,15 +6,14 @@ import pytest
 from safemanip.controller import (
     ContactInfo,
     ControllerState,
-    DegenerateContactError,
     GainSet,
     Mode,
     ReactionParams,
     UsdeState,
+    contact_direction,
     contact_safe_torque,
-    detect_contact,
+    isolate_contact,
     mode_step,
-    reduced_contact_jacobian,
     tracking_torque,
     usde_update,
 )
@@ -43,6 +42,11 @@ def step_plant(kin, tau, tau_ext, dt):
     rhs = tau - kin.bias if tau_ext is None else tau + tau_ext - kin.bias
     qd = kin.qd + dt * np.linalg.solve(kin.M, rhs)
     return kin.q + dt * qd, qd
+
+
+def detect(model, q, r, t=0.0):
+    """Fresh detection at rest in ``q``: the contact, or None."""
+    return isolate_contact(model, at_rest(model, q), r, 3.0, t, None)[0]
 
 
 def run_episode(model, q0, gains, duration, dt, push, params=None,
@@ -291,13 +295,13 @@ class TestUsde:
 class TestDetection:
     def test_below_threshold_is_none(self, panda7):
         r = np.full(7, 0.5)
-        assert detect_contact(r, panda7, at_rest(panda7, np.zeros(7)), 3.0) is None
+        assert detect(panda7, np.zeros(7), r) is None
 
     def test_single_exceeding_joint_names_its_link(self, panda7):
         q = np.array([0.0, -0.6, 0.0, -2.0, 0.0, 1.6, 0.8])
         r = np.zeros(7)
         r[3] = 5.0
-        info = detect_contact(r, panda7, at_rest(panda7, q), 3.0, t=1.5)
+        info = detect(panda7, q, r, t=1.5)
         assert info is not None
         assert info.link_index == 3
         assert info.detected_at == 1.5
@@ -308,14 +312,14 @@ class TestDetection:
         r = np.zeros(7)
         r[2] = 4.0
         r[5] = 6.0
-        info = detect_contact(r, panda7, at_rest(panda7, q), 3.0)
+        info = detect(panda7, q, r)
         assert info.link_index == 5
 
     def test_negative_estimate_counts(self, panda7):
         q = np.array([0.0, -0.6, 0.0, -2.0, 0.0, 1.6, 0.8])
         r = np.zeros(7)
         r[3] = -4.5
-        assert detect_contact(r, panda7, at_rest(panda7, q), 3.0).link_index == 3
+        assert detect(panda7, q, r).link_index == 3
 
     def test_degenerate_direction_returns_none(self, panda7, caplog):
         # an estimate in the null space of the contact Jacobian carries no
@@ -330,8 +334,52 @@ class TestDetection:
         r = r * (4.0 / abs(r[link]))
         np.testing.assert_allclose(Jc @ r, 0.0, atol=1e-9)
         with caplog.at_level(logging.WARNING, logger="safemanip.controller"):
-            assert detect_contact(r, panda7, at_rest(panda7, q), 3.0) is None
+            info, norm = isolate_contact(panda7, at_rest(panda7, q), r, 3.0,
+                                         0.0, None)
+        assert info is None and norm <= 1e-6
         assert "degenerate" in caplog.text
+
+    def test_episode_never_moves_inward(self, panda7):
+        # only a proximal joint exceeds: the ongoing contact keeps its link
+        # and detection time, and takes the direction the estimate gives it
+        q = np.array([0.0, -0.6, 0.0, -2.0, 0.0, 1.6, 0.8])
+        kin = at_rest(panda7, q)
+        r = np.zeros(7)
+        r[5] = 4.0
+        current = isolate_contact(panda7, kin, r, 3.0, 0.2, None)[0]
+        r[2], r[5] = 8.0, 1.0
+        info, norm = isolate_contact(panda7, kin, r, 3.0, 0.3, current)
+        n_c, J_tilde, want = contact_direction(panda7, kin, 5, r)
+        assert info.link_index == 5 and info.detected_at == 0.2
+        np.testing.assert_array_equal(info.n_c, n_c)
+        np.testing.assert_array_equal(info.J_tilde, J_tilde)
+        assert norm == want
+
+    def test_degenerate_outward_candidate_keeps_current_link(self, panda7):
+        # the distal joint exceeds, but the estimate maps to no force on its
+        # link: the contact stays on the current link, re-isolated there
+        q = np.array([0.0, -0.6, 0.0, -2.0, 0.0, 1.6, 0.8])
+        kin = at_rest(panda7, q)
+        fk = kin.frames
+        Jc = point_jacobian_world(panda7, fk, 5, fk[6].translation)
+        null = np.linalg.svd(Jc)[2][3:]
+        r = null[np.argmax(np.abs(null[:, 5]))]
+        r = r * (4.0 / abs(r[5]))
+        assert np.nonzero(np.abs(r) > 3.0)[0].tolist() == [5]
+        assert contact_direction(panda7, kin, 5, r)[0] is None
+        n_c, J_tilde, want = contact_direction(panda7, kin, 3, r)
+        assert want > 0.1
+        current = ContactInfo(link_index=3, n_c=np.array([1.0, 0.0, 0.0]),
+                              J_tilde=np.zeros(7), detected_at=0.25)
+        info, norm = isolate_contact(panda7, kin, r, 3.0, 0.4, current)
+        assert info.link_index == 3 and info.detected_at == 0.25
+        np.testing.assert_array_equal(info.n_c, n_c)
+        np.testing.assert_array_equal(info.J_tilde, J_tilde)
+        assert norm == want
+        # with no direction on the current link either, it is kept whole
+        kept, norm = isolate_contact(panda7, kin, np.zeros(7), 3.0, 0.4,
+                                     current)
+        assert kept is current and norm == 0.0
 
 
 class TestReducedContactJacobian:
@@ -343,7 +391,8 @@ class TestReducedContactJacobian:
         tip = fk[2].translation
         F = np.array([0.6, -0.8, 0.0]) * 20.0
         Jc = point_jacobian_world(m, fk, 1, tip)
-        n_c, J_tilde = reduced_contact_jacobian(m, at_rest(m, q), 1, Jc.T @ F)
+        n_c, J_tilde, norm = contact_direction(m, at_rest(m, q), 1, Jc.T @ F)
+        np.testing.assert_allclose(norm, 20.0, rtol=1e-9)
         angle = np.degrees(np.arccos(np.clip(n_c @ (F / 20.0), -1.0, 1.0)))
         assert angle < 5.0
         np.testing.assert_allclose(n_c, F / 20.0, atol=1e-9)
@@ -358,26 +407,26 @@ class TestReducedContactJacobian:
         r = np.zeros(7)
         r[link] = 4.0
         r[1] = -6.0
-        n_c, J_tilde = reduced_contact_jacobian(m, KinState.of(m, q, qd), link,
-                                                r)
+        n_c, J_tilde, _ = contact_direction(m, KinState.of(m, q, qd), link, r)
         h = 1e-6
         pp = forward_kinematics(m, q + h * qd)[link + 1].translation
         pm = forward_kinematics(m, q - h * qd)[link + 1].translation
         v_fd = (pp - pm) / (2.0 * h)
         np.testing.assert_allclose(J_tilde @ qd, n_c @ v_fd, atol=1e-6)
 
-    def test_degenerate_raises(self, panda7):
+    def test_zero_estimate_has_no_direction(self, panda7):
         q = np.array([0.0, -0.6, 0.0, -2.0, 0.0, 1.6, 0.8])
-        with pytest.raises(DegenerateContactError):
-            reduced_contact_jacobian(panda7, at_rest(panda7, q), 3, np.zeros(7))
+        assert contact_direction(panda7, at_rest(panda7, q), 3,
+                                 np.zeros(7)) == (None, None, 0.0)
 
 
 class TestContactSafeTorque:
     def _setup(self, model, q, qd):
         kin = KinState.of(model, q, qd)
         J = body_jacobian(model, kin.frames)
-        td = task_dynamics_from_jacobian(
+        td, damped = task_dynamics_from_jacobian(
             kin, J, jacobian_dot_qd(model, kin.frames, qd))
+        assert not damped
         return kin, J, td
 
     def test_pure_bias_compensation(self, panda7):
@@ -385,8 +434,7 @@ class TestContactSafeTorque:
         q = np.array([0.0, -0.6, 0.0, -2.0, 0.0, 1.6, 0.8])
         qd = np.array([0.2, -0.1, 0.3, 0.1, -0.2, 0.15, 0.1])
         kin, J, td = self._setup(panda7, q, qd)
-        info = ContactInfo(link_index=4, r_hat=np.zeros(7),
-                           n_c=np.array([0.0, 0.0, 1.0]),
+        info = ContactInfo(link_index=4, n_c=np.array([0.0, 0.0, 1.0]),
                            J_tilde=np.zeros(7), detected_at=0.0)
         tau, damped = contact_safe_torque(panda7, kin, kin.frames[-1], J @ qd,
                                           info, np.zeros(7), GainSet.default(7),
@@ -402,7 +450,7 @@ class TestContactSafeTorque:
             kin, J, td = self._setup(panda7, q, qd)
             r = rng.normal(0.0, 5.0, 7)
             r[5:] = 0.0
-            n_c, J_tilde = reduced_contact_jacobian(panda7, kin, 4, r)
+            _, J_tilde, _ = contact_direction(panda7, kin, 4, r)
             N_t = np.eye(7) - J.T @ td.Jbar.T
             react = N_t @ (J_tilde * 2.5)
             assert np.abs(td.Jbar.T @ react).max() < 1e-8
@@ -415,7 +463,7 @@ class TestContactSafeTorque:
             M = mass_matrix(panda7, forward_kinematics(panda7, q))
             r = rng.normal(0.0, 5.0, 7)
             r[5:] = 0.0
-            n_c, J_tilde = reduced_contact_jacobian(panda7, kin, 4, r)
+            _, J_tilde, _ = contact_direction(panda7, kin, 4, r)
             N_t = np.eye(7) - J.T @ td.Jbar.T
             acc = J @ np.linalg.solve(M, N_t @ (J_tilde * 3.0))
             assert np.abs(acc).max() < 1e-6
@@ -431,8 +479,8 @@ class TestContactSafeTorque:
         tip = fk[2].translation
         Jc = point_jacobian_world(m, fk, 1, tip)
         r = Jc.T @ np.array([0.0, -10.0, 0.0])
-        n_c, J_tilde = reduced_contact_jacobian(m, kin, 1, r)
-        info = ContactInfo(link_index=1, r_hat=r, n_c=n_c, J_tilde=J_tilde,
+        n_c, J_tilde, _ = contact_direction(m, kin, 1, r)
+        info = ContactInfo(link_index=1, n_c=n_c, J_tilde=J_tilde,
                            detected_at=0.0)
         tau, damped = contact_safe_torque(m, kin, fk[-1], np.zeros(6),
                                           info, r, GainSet.default(2), 1.0)

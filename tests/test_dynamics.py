@@ -20,12 +20,13 @@ from safemanip.se3 import cross3
 from safemanip.sim import rk4_step
 
 
-def ee_task_dynamics(model, q, qd, damping=0.0):
-    """Task-space dynamics at the end effector (body-frame Jacobian)."""
+def ee_task_dynamics(model, q, qd):
+    """Task-space dynamics at the end effector (body-frame Jacobian) and
+    whether they were damped."""
     kin = KinState.of(model, q, qd)
     return task_dynamics_from_jacobian(
         kin, body_jacobian(model, kin.frames),
-        jacobian_dot_qd(model, kin.frames, kin.qd), damping=damping)
+        jacobian_dot_qd(model, kin.frames, kin.qd))
 
 
 def test_planar2r_mass_matrix_stretched(planar2r):
@@ -241,7 +242,8 @@ def test_kinetic_energy_nonnegative(panda7, rng):
 def test_task_dynamics_symmetric_lambda(panda7, rng):
     q = rng.uniform(-1.0, 1.0, 7)
     qd = rng.uniform(-1.0, 1.0, 7)
-    td = ee_task_dynamics(panda7, q, qd)
+    td, damped = ee_task_dynamics(panda7, q, qd)
+    assert not damped
     np.testing.assert_allclose(td.Lam, td.Lam.T, atol=1e-9)
     assert np.linalg.eigvalsh(td.Lam).min() > 0.0
 
@@ -249,7 +251,8 @@ def test_task_dynamics_symmetric_lambda(panda7, rng):
 def test_task_dynamics_rest_bias_is_projected_gravity(panda7, rng):
     # at rest eta is gravity mapped through the dynamically consistent inverse
     q = rng.uniform(-1.0, 1.0, 7)
-    td = ee_task_dynamics(panda7, q, np.zeros(7))
+    td, damped = ee_task_dynamics(panda7, q, np.zeros(7))
+    assert not damped
     frames = forward_kinematics(panda7, q)
     J = body_jacobian(panda7, frames)
     Minv = np.linalg.inv(mass_matrix(panda7, frames))
@@ -264,7 +267,8 @@ def test_task_dynamics_scalar_task(planar2r_gravity, rng):
     qd = rng.uniform(-1.0, 1.0, 2)
     J = np.array([[1.0, 0.0]])
     kin = KinState.of(planar2r_gravity, q, qd)
-    td = task_dynamics_from_jacobian(kin, J, np.zeros(1))
+    td, damped = task_dynamics_from_jacobian(kin, J, np.zeros(1))
+    assert not damped
     frames = forward_kinematics(planar2r_gravity, q)
     Minv = np.linalg.inv(mass_matrix(planar2r_gravity, frames))
     np.testing.assert_allclose(td.Lam, [[1.0 / Minv[0, 0]]], atol=1e-12)
@@ -276,7 +280,8 @@ def test_task_dynamics_null_torque_produces_no_task_acceleration(panda7, rng):
     # (I - J' Jbar') tau moves only the null space: J M^-1 applied to it is 0
     q = rng.uniform(-1.0, 1.0, 7)
     qd = rng.uniform(-0.5, 0.5, 7)
-    td = ee_task_dynamics(panda7, q, qd)
+    td, damped = ee_task_dynamics(panda7, q, qd)
+    assert not damped
     frames = forward_kinematics(panda7, q)
     J = body_jacobian(panda7, frames)
     Minv = np.linalg.inv(mass_matrix(panda7, frames))
@@ -287,11 +292,18 @@ def test_task_dynamics_null_torque_produces_no_task_acceleration(panda7, rng):
 
 
 def test_task_dynamics_damped_at_singularity(planar2r):
-    # stretched-out arm is singular in translation; a damped call (the
-    # controller's fallback damping, 0.1) must succeed
-    td = ee_task_dynamics(planar2r, np.zeros(2), np.zeros(2), damping=0.1)
+    # a planar arm never spans the 6-D task, so the apparent inertia is
+    # singular: the terms damp themselves by 0.1^2 I, say so, stay finite
+    q = np.zeros(2)
+    td, damped = ee_task_dynamics(planar2r, q, q)
+    assert damped
     assert np.all(np.isfinite(td.Lam))
     assert np.all(np.isfinite(td.eta))
+    frames = forward_kinematics(planar2r, q)
+    J = body_jacobian(planar2r, frames)
+    A = J @ np.linalg.solve(mass_matrix(planar2r, frames), J.T)
+    np.testing.assert_allclose(td.Lam, np.linalg.inv(A + 0.01 * np.eye(6)),
+                               rtol=1e-12)
 
 
 def test_jacobian_dot_qd_fd_consistency(panda7, rng):

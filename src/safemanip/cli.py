@@ -19,7 +19,8 @@ from pathlib import Path
 
 from . import validate as validate_mod
 from .scenario import ScenarioError, load_scenario
-from .sim import SolverAbort, compare_runs, run
+from .sim import (SolverAbort, check_comparable, compare_runs, run,
+                  run_schedule)
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -82,6 +83,11 @@ def _cmd_run(args) -> int:
 def _cmd_compare(args) -> int:
     sa = load_scenario(args.scenario_a, args.overrides)
     sb = load_scenario(args.scenario_b, args.overrides)
+    try:
+        check_comparable(run_schedule(sa), run_schedule(sb))
+    except ValueError as exc:
+        raise ScenarioError(f"cannot compare {args.scenario_a} with "
+                            f"{args.scenario_b}: {exc}") from exc
     out = Path(args.output)
     code = EXIT_OK
     reports = []
@@ -93,6 +99,10 @@ def _cmd_compare(args) -> int:
             code = EXIT_SOLVER
         (out / tag / "report.txt").write_text(rep.as_text())
         reports.append(rep)
+    if code == EXIT_SOLVER:
+        # an aborted run covers only part of the schedule: nothing to diff
+        print("compare: a run aborted, see its report.txt")
+        return code
     cmp = compare_runs(reports[0], reports[1])
     lines = [f"compare: {sa.name} (a) vs {sb.name} (b), deltas are a - b"]
     for t, d in zip(cmp.waypoint_times, cmp.waypoint_error_delta):

@@ -392,17 +392,31 @@ class RunComparison:
     iterations_mean_delta: float
 
 
-def compare_runs(a: RunReport, b: RunReport) -> RunComparison:
-    """Metric deltas ``a - b`` for two runs of the same scenario geometry."""
-    if a.robot != b.robot:
-        raise ValueError(f"robot mismatch: {a.robot} vs {b.robot}")
-    if abs(a.duration - b.duration) > 1e-9:
-        raise ValueError(
-            f"duration mismatch: {a.duration} vs {b.duration}")
-    ta = [t for t, _ in a.per_waypoint_error]
-    tb = [t for t, _ in b.per_waypoint_error]
+def check_comparable(a, b) -> None:
+    """Raise ValueError unless two runs, each given as its (robot, duration,
+    waypoint times) triple, share all three."""
+    (ra, da, ta), (rb, db, tb) = a, b
+    if ra != rb:
+        raise ValueError(f"robot mismatch: {ra} vs {rb}")
+    if abs(da - db) > 1e-9:
+        raise ValueError(f"duration mismatch: {da} vs {db}")
     if len(ta) != len(tb) or any(abs(x - y) > 1e-9 for x, y in zip(ta, tb)):
         raise ValueError(f"waypoint schedules differ: {ta} vs {tb}")
+
+
+def run_schedule(scenario: Scenario):
+    """The (robot, duration, waypoint times) triple a run will report."""
+    dt = 1.0 / scenario.control_rate
+    return (scenario.model.name, scenario.duration,
+            [t for t, _ in scenario.reference
+             if t <= scenario.duration + 0.5 * dt])
+
+
+def compare_runs(a: RunReport, b: RunReport) -> RunComparison:
+    """Metric deltas ``a - b`` for two runs of the same scenario geometry."""
+    ta = [t for t, _ in a.per_waypoint_error]
+    tb = [t for t, _ in b.per_waypoint_error]
+    check_comparable((a.robot, a.duration, ta), (b.robot, b.duration, tb))
     ea = np.array([e for _, e in a.per_waypoint_error])
     eb = np.array([e for _, e in b.per_waypoint_error])
     ca = np.array(a.min_clearance_per_link)

@@ -68,3 +68,50 @@ def test_planner_abort_exits_2_and_still_writes_report(tmp_path):
     assert code == EXIT_SOLVER
     assert "ABORTED: planner failed 2 consecutive cycles" in (
         out / "report.txt").read_text()
+
+
+def test_compare_with_itself_exits_0_and_writes_compare(tmp_path, capsys):
+    path = _scenario(tmp_path, RUN)
+    out = tmp_path / "out"
+    assert main(["compare", path, path, "-o", str(out)]) == EXIT_OK
+    text = (out / "compare.txt").read_text()
+    assert "ee error rms delta: +0.00000" in text
+    assert text in capsys.readouterr().out
+    assert (out / "a" / "report.txt").exists()
+    assert (out / "b" / "report.txt").exists()
+
+
+@pytest.mark.parametrize("other, message", [
+    (dict(RUN, robot="planar3r", q0=[0.4, 1.2, 0.0]), "robot mismatch"),
+    (dict(RUN, duration=0.05), "duration mismatch"),
+    (dict(RUN, reference=[{"t": 0.05, "position": [0.8, 1.2, 0.0]}]),
+     "waypoint schedules differ"),
+], ids=["robot", "duration", "waypoints"])
+def test_compare_mismatch_exits_1_before_running(tmp_path, capsys, other,
+                                                 message):
+    (tmp_path / "a").mkdir()
+    (tmp_path / "b").mkdir()
+    a = _scenario(tmp_path / "a", RUN)
+    b = _scenario(tmp_path / "b", other)
+    out = tmp_path / "out"
+    assert main(["compare", a, b, "-o", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot compare ")
+    assert message in err
+    assert not out.exists()
+
+
+def test_compare_with_an_aborted_run_exits_2_without_a_diff(tmp_path):
+    # the aborted run stops before the second waypoint, so its metrics do
+    # not compare with the full run's
+    late = {"t": 0.15, "position": [0.8, 1.2, 0.0]}
+    aborts = dict(ABORT, reference=RUN["reference"] + [late])
+    (tmp_path / "a").mkdir()
+    (tmp_path / "b").mkdir()
+    a = _scenario(tmp_path / "a", dict(aborts, obstacles=[]))
+    b = _scenario(tmp_path / "b", aborts)
+    out = tmp_path / "out"
+    assert main(["compare", a, b, "-o", str(out)]) == EXIT_SOLVER
+    assert "status: completed" in (out / "a" / "report.txt").read_text()
+    assert "ABORTED" in (out / "b" / "report.txt").read_text()
+    assert not (out / "compare.txt").exists()

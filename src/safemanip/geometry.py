@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .model import CollisionBody, RobotModel, forward_kinematics, point_jacobian_world
-from .se3 import Pose
+from .se3 import Pose, cross3
 
 _DEGENERATE_AXIS = np.array([0.0, 0.0, 1.0])
 _CORE_EPS = 1e-9
@@ -94,7 +94,7 @@ def _core_segment(shape, pose: Pose):
 def _segment_closest_points(p1, q1, p2, q2):
     """Closest points between segments [p1,q1] and [p2,q2] (Ericson 5.1.9).
 
-    Parallel overlaps break the tie at the segment-1 start for determinism.
+    Nearly parallel pairs go to :func:`_nearly_parallel_closest_points`.
     """
     d1 = q1 - p1
     d2 = q2 - p2
@@ -113,7 +113,9 @@ def _segment_closest_points(p1, q1, p2, q2):
         return p1 + s * d1, p2
     b = d1 @ d2
     denom = a * e - b * b
-    s = np.clip((b * f - c * e) / denom, 0.0, 1.0) if denom > _CORE_EPS * a * e else 0.0
+    if denom <= _CORE_EPS * a * e:
+        return _nearly_parallel_closest_points(p1, q1, p2, q2)
+    s = np.clip((b * f - c * e) / denom, 0.0, 1.0)
     t = (b * s + f) / e
     if t < 0.0:
         t = 0.0
@@ -122,6 +124,31 @@ def _segment_closest_points(p1, q1, p2, q2):
         t = 1.0
         s = np.clip((b - c) / a, 0.0, 1.0)
     return p1 + s * d1, p2 + t * d2
+
+
+def _nearly_parallel_closest_points(p1, q1, p2, q2):
+    """Closest points of segments within ~3e-5 rad of parallel.
+
+    ``a e - b^2`` has lost its digits here, so the candidates are the four
+    endpoint-to-segment projections and, when the lines' closest points lie
+    inside both segments, that pair, taken from cross products.  The first
+    of equally close candidates wins, the segment-1 start first of all.
+    """
+    def onto(x, p, d):
+        return p + np.clip((x - p) @ d / (d @ d), 0.0, 1.0) * d
+
+    d1, d2 = q1 - p1, q2 - p2
+    pairs = [(p1, onto(p1, p2, d2)), (onto(p2, p1, d1), p2),
+             (onto(q2, p1, d1), q2), (q1, onto(q1, p2, d2))]
+    n = cross3(d1, d2)
+    nn = n @ n
+    if nn > 0.0:
+        w = p2 - p1
+        s = cross3(w, d2) @ n / nn
+        t = cross3(w, d1) @ n / nn
+        if 0.0 <= s <= 1.0 and 0.0 <= t <= 1.0:
+            pairs.append((p1 + s * d1, p2 + t * d2))
+    return min(pairs, key=lambda pair: float(np.linalg.norm(pair[0] - pair[1])))
 
 
 def min_distance(shape_a, pose_a: Pose, shape_b, pose_b: Pose) -> DistanceResult:

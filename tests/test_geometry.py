@@ -82,24 +82,37 @@ _point = st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3).map(np.array)
 @settings(derandomize=True, deadline=None)
 @given(_point, _point, _point, _point)
 def test_segment_closest_points_beat_dense_sampling(p1, q1, p2, q2):
-    # below _CORE_EPS a direction pair counts as parallel (pinned below) and
-    # a nonzero core as a point
+    # below _CORE_EPS a nonzero core counts as a point
     d1, d2 = q1 - p1, q2 - p2
-    n = np.cross(d1, d2)
-    assume(n @ n == 0.0 or n @ n > _CORE_EPS * (d1 @ d1) * (d2 @ d2))
     assume(all(d @ d == 0.0 or d @ d > _CORE_EPS for d in (d1, d2)))
     c1, c2 = _segment_closest_points(p1, q1, p2, q2)
     assert (np.linalg.norm(c1 - c2)
             <= _sampled_segment_distance(p1, q1, p2, q2) + 1e-12)
 
 
-@pytest.mark.xfail(strict=True, reason="nearly parallel segments take the "
-                   "parallel branch, which keeps s = 0 unless t clamps")
 def test_segment_closest_points_nearly_parallel_sharing_an_end():
     p1, q1 = np.zeros(3), np.array([0.0, 0.0, 1.0])
     p2, q2 = q1, np.array([0.0, 1e-5, 0.0])
     c1, c2 = _segment_closest_points(p1, q1, p2, q2)
     assert np.linalg.norm(c1 - c2) <= 1e-12
+
+
+def test_segment_closest_points_nearly_parallel_crossing_inside():
+    # lines 2e-5 rad apart crossing at the middle of both segments: the
+    # closest pair is interior, not at an end
+    p1, q1 = np.array([-1.0, 0.0, 0.0]), np.array([1.0, 0.0, 0.0])
+    p2, q2 = np.array([-1.0, -1e-5, 0.0]), np.array([1.0, 1e-5, 0.0])
+    c1, c2 = _segment_closest_points(p1, q1, p2, q2)
+    assert np.linalg.norm(c1 - c2) <= 1e-12
+    np.testing.assert_allclose(c1, 0.0, atol=1e-12)
+
+
+def test_segment_closest_points_parallel_overlap_starts_at_p1():
+    p1, q1 = np.zeros(3), np.array([2.0, 0.0, 0.0])
+    p2, q2 = np.array([-1.0, 1.0, 0.0]), np.array([1.0, 1.0, 0.0])
+    c1, c2 = _segment_closest_points(p1, q1, p2, q2)
+    np.testing.assert_array_equal(c1, p1)
+    np.testing.assert_array_equal(c2, [0.0, 1.0, 0.0])
 
 
 def test_distance_symmetry(rng):

@@ -1,7 +1,10 @@
 """Receding-horizon planner: cost terms, transcriptions, QP solver."""
 
+import itertools
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from safemanip.geometry import DistanceResult, Obstacle, Sphere, closest_pair_per_link
 from safemanip.model import body_jacobian, forward_kinematics, robust_null_projector
@@ -305,6 +308,49 @@ def test_qp_random_boxes_match_projection(rng):
         res = solve_qp(H, g, None, None, A_in, b_in, np.zeros(n))
         assert res.status == "optimal"
         np.testing.assert_allclose(res.z, np.clip(target, -1.0, 1.0), atol=1e-8)
+
+
+def _enumerated_qp_optimum(H, g, A_eq, b_eq, A_in, b_in):
+    """Oracle: the optimum of a strictly convex QP minimizes it on the face
+    of some active set, so it is the best feasible point among the
+    equality-constrained minimizers of every active set."""
+    n = H.shape[0]
+    best, best_f = None, np.inf
+    for k in range(min(n - len(b_eq), len(b_in)) + 1):
+        for rows in itertools.combinations(range(len(b_in)), k):
+            A = np.vstack([A_eq, A_in[list(rows)]])
+            b = np.concatenate([b_eq, b_in[list(rows)]])
+            K = np.block([[H, A.T], [A, np.zeros((len(b), len(b)))]])
+            z = np.linalg.solve(K, np.concatenate([-g, b]))[:n]
+            f = 0.5 * z @ H @ z + g @ z
+            if np.all(A_in @ z >= b_in - 1e-9) and f < best_f:
+                best, best_f = z, f
+    return best
+
+
+@pytest.mark.parametrize("m_eq", [0, 1], ids=["inequality-only",
+                                              "one-equality"])
+def test_qp_matches_enumerated_active_sets(m_eq):
+    # small strictly convex QPs with coupled (dense) inequality rows, fed to
+    # the solver as dense arrays and as CSR matrices
+    rng = np.random.default_rng(40 + m_eq)
+    for _ in range(300):
+        n = int(rng.integers(2, 6))
+        m = int(rng.integers(2, 7))
+        B = rng.normal(size=(n, n))
+        H = B @ B.T + n * np.eye(n)
+        g = rng.normal(0.0, 3.0, n)
+        A_in = rng.normal(size=(m, n))
+        A_eq = rng.normal(size=(m_eq, n))
+        z0 = rng.normal(size=n)
+        b_in = A_in @ z0 - rng.uniform(0.0, 1.0, m)
+        b_eq = A_eq @ z0
+        want = _enumerated_qp_optimum(H, g, A_eq, b_eq, A_in, b_in)
+        for form in (np.asarray, sp.csr_matrix):
+            res = solve_qp(form(H), g, form(A_eq) if m_eq else None,
+                           b_eq if m_eq else None, form(A_in), b_in, z0)
+            assert res.status == "optimal"
+            np.testing.assert_allclose(res.z, want, rtol=0, atol=1e-8)
 
 
 def test_make_feasible_repairs_marked_rows():

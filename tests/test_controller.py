@@ -30,18 +30,12 @@ from safemanip.model import (
     forward_kinematics,
     point_jacobian_world,
 )
+from safemanip.sim import rk4_step
 
 
 def at_rest(model, q):
     """State object at configuration ``q`` with zero joint velocity."""
     return KinState.of(model, q, np.zeros(model.n))
-
-
-def step_plant(kin, tau, tau_ext, dt):
-    """Semi-implicit Euler plant step, enough for 1 kHz control loops."""
-    rhs = tau - kin.bias if tau_ext is None else tau + tau_ext - kin.bias
-    qd = kin.qd + dt * np.linalg.solve(kin.M, rhs)
-    return kin.q + dt * qd, qd
 
 
 def detect(model, q, r, t=0.0):
@@ -86,7 +80,7 @@ def run_episode(model, q0, gains, duration, dt, push, params=None,
         rec["q"].append(q.copy())
         rec["link"].append(st.contact.link_index if st.contact else -1)
         rec["n_c"].append(st.contact.n_c.copy() if st.contact else None)
-        q, qd = step_plant(kin, tau, tau_ext, dt)
+        q, qd = rk4_step(model, kin, tau, tau_ext, dt)
     rec["r"] = np.array(rec["r"])
     rec["q"] = np.array(rec["q"])
     return rec
@@ -205,7 +199,7 @@ class TestTrackingTorque:
         for _ in range(2000):
             kin = KinState.of(m, q, qd)
             tau = tracking_torque(kin, q_des, np.zeros(2), gains)
-            q, qd = step_plant(kin, tau, None, dt)
+            q, qd = rk4_step(m, kin, tau, None, dt)
         assert np.abs(q - q_des).max() < 1e-4
 
 
@@ -598,7 +592,7 @@ class TestModeMachine:
                 latched = st.q_pre_contact.copy()
             if t >= 1.6 and st.mode is Mode.CONTACT_SAFE:
                 np.testing.assert_array_equal(st.q_pre_contact, latched)
-            q, qd = step_plant(kin, tau, tau_ext, dt)
+            q, qd = rk4_step(m, kin, tau, tau_ext, dt)
         assert Mode.RETURNING in saw
         assert st.mode is Mode.CONTACT_SAFE
         assert Mode.RESUME_CHECK not in saw

@@ -16,8 +16,10 @@ frame, the forward pass with ``qdd = 0``.  The Christoffel-form
 independent of that analytic code and is the oracle of the tests.
 
 Per-state convention: ``mass_matrix``, ``inverse_dynamics``, ``bias_forces``,
-``gravity_torque``, ``mdot_qd`` and ``jacobian_dot_qd`` take the ``frames`` of
-:func:`safemanip.model.forward_kinematics` as a required argument.
+``gravity_torque``, ``mdot_qd`` and ``jacobian_dot_qd`` take the
+:class:`safemanip.model.Frames` of :func:`safemanip.model.forward_kinematics`
+as a required argument and read the world axes, origins, COMs and inertias
+it carries; nothing here rotates link data into the world again.
 :class:`KinState` is the one object computed per state (q, qd): its frames, M
 and bias come from one forward-kinematics pass and one call each of the
 public ``mass_matrix`` and ``bias_forces``.  ``sim.run`` builds it once per
@@ -37,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import RobotModel, forward_kinematics
+from .model import Frames, RobotModel, forward_kinematics
 from .se3 import cross3, hat
 
 _FD_STEP = 1e-6
@@ -57,31 +59,16 @@ class TaskDynamicsTerms:
     Jbar: np.ndarray
 
 
-def _world_com_data(model: RobotModel, frames):
-    """World COM positions, rotated inertia tensors and masses, stacked."""
-    n = model.n
-    coms = np.empty((n, 3))
-    inertias = np.empty((n, 3, 3))
-    masses = np.empty(n)
-    for i, link in enumerate(model.links):
-        R = frames[i].rotation
-        coms[i] = frames[i].apply(link.com)
-        inertias[i] = R @ link.inertia @ R.T
-        masses[i] = link.mass
-    return coms, inertias, masses
-
-
-def mass_matrix(model: RobotModel, frames) -> np.ndarray:
+def mass_matrix(model: RobotModel, frames: Frames) -> np.ndarray:
     """n x n joint-space inertia matrix via composite rigid bodies."""
     n = model.n
-    coms, inertias, masses = _world_com_data(model, frames)
 
     # spatial inertia of each link about the world origin (angular-first)
     Io = np.zeros((n, 6, 6))
-    for i in range(n):
-        chat = hat(coms[i])
-        m = masses[i]
-        Io[i, :3, :3] = inertias[i] - m * (chat @ chat)
+    for i, link in enumerate(model.links):
+        chat = hat(frames.coms[i])
+        m = link.mass
+        Io[i, :3, :3] = frames.inertias[i] - m * (chat @ chat)
         Io[i, :3, 3:] = m * chat
         Io[i, 3:, :3] = -m * chat
         Io[i, 3:, 3:] = m * np.eye(3)
@@ -89,10 +76,9 @@ def mass_matrix(model: RobotModel, frames) -> np.ndarray:
     Ic = np.cumsum(Io[::-1], axis=0)[::-1]
 
     S = np.empty((n, 6))
-    for j in range(n):
-        a = frames[j].rotation @ model.joints[j].axis
-        S[j, :3] = a
-        S[j, 3:] = cross3(frames[j].translation, a)
+    S[:, :3] = frames.axes
+    for j, (axis, origin) in enumerate(zip(frames.axes, frames.origins)):
+        S[j, 3:] = cross3(origin, axis)
 
     M = np.zeros((n, n))
     for j in range(n):
@@ -102,20 +88,18 @@ def mass_matrix(model: RobotModel, frames) -> np.ndarray:
     return M
 
 
-def _forward_pass(model: RobotModel, frames, qd, qdd, a_base):
+def _forward_pass(frames: Frames, qd, qdd, a_base):
     """Link velocities and accelerations, base to tip.
 
-    Entry i of each returned list: the world axis of joint i, its origin
-    o_i, the angular velocity of link i, the velocity of the point o_i, the
-    angular acceleration of link i and the acceleration of o_i, for joint
-    accelerations ``qdd`` and a base that accelerates at ``a_base``.
+    Entry i of each returned list: the angular velocity of link i, the
+    velocity of its joint origin o_i, the angular acceleration of link i and
+    the acceleration of o_i, for joint accelerations ``qdd`` and a base that
+    accelerates at ``a_base``.
     """
-    axes, origins, omega, v_origin, alpha, a_origin = [], [], [], [], [], []
+    omega, v_origin, alpha, a_origin = [], [], [], []
     w = v = al = o_prev = np.zeros(3)
     ao = a_base
-    for i in range(model.n):
-        o = frames[i].translation
-        axis = frames[i].rotation @ model.joints[i].axis
+    for i, (axis, o) in enumerate(zip(frames.axes, frames.origins)):
         r = o - o_prev
         v_rel = cross3(w, r)
         v = v + v_rel
@@ -123,25 +107,23 @@ def _forward_pass(model: RobotModel, frames, qd, qdd, a_base):
         w_rel = axis * qd[i]
         al = al + axis * qdd[i] + cross3(w, w_rel)
         w = w + w_rel
-        axes.append(axis)
-        origins.append(o)
         omega.append(w)
         v_origin.append(v)
         alpha.append(al)
         a_origin.append(ao)
         o_prev = o
-    return axes, origins, omega, v_origin, alpha, a_origin
+    return omega, v_origin, alpha, a_origin
 
 
-def inverse_dynamics(model: RobotModel, frames, qd, qdd) -> np.ndarray:
+def inverse_dynamics(model: RobotModel, frames: Frames, qd, qdd) -> np.ndarray:
     """Joint torques realizing ``qdd`` at state (q, qd):  M qdd + C qd + g."""
     qd = np.asarray(qd, dtype=float).reshape(-1)
     qdd = np.asarray(qdd, dtype=float).reshape(-1)
     n = model.n
-    coms, inertias, masses = _world_com_data(model, frames)
+    axes, origins, coms, inertias = (frames.axes, frames.origins, frames.coms,
+                                     frames.inertias)
     # gravity enters as an upward acceleration of the base
-    axes, origins, omega, _, alpha, a_origin = _forward_pass(
-        model, frames, qd, qdd, -model.gravity)
+    omega, _, alpha, a_origin = _forward_pass(frames, qd, qdd, -model.gravity)
 
     tau = np.zeros(n)
     f_child = np.zeros(3)
@@ -150,8 +132,8 @@ def inverse_dynamics(model: RobotModel, frames, qd, qdd) -> np.ndarray:
     for i in range(n - 1, -1, -1):
         w = omega[i]
         rc = coms[i] - origins[i]
-        F = masses[i] * (a_origin[i] + cross3(alpha[i], rc)
-                         + cross3(w, cross3(w, rc)))
+        F = model.links[i].mass * (a_origin[i] + cross3(alpha[i], rc)
+                                   + cross3(w, cross3(w, rc)))
         N = inertias[i] @ alpha[i] + cross3(w, inertias[i] @ w)
         f = F + f_child
         mom = N + cross3(rc, F)
@@ -162,12 +144,12 @@ def inverse_dynamics(model: RobotModel, frames, qd, qdd) -> np.ndarray:
     return tau
 
 
-def gravity_torque(model: RobotModel, frames) -> np.ndarray:
+def gravity_torque(model: RobotModel, frames: Frames) -> np.ndarray:
     z = np.zeros(model.n)
     return inverse_dynamics(model, frames, z, z)
 
 
-def bias_forces(model: RobotModel, frames, qd) -> np.ndarray:
+def bias_forces(model: RobotModel, frames: Frames, qd) -> np.ndarray:
     """Velocity-and-gravity bias ``C(q, qd) qd + g(q)``."""
     return inverse_dynamics(model, frames, qd, np.zeros(model.n))
 
@@ -176,13 +158,13 @@ def bias_forces(model: RobotModel, frames, qd) -> np.ndarray:
 class KinState:
     """Kinematics and dynamics of one state (q, qd), computed once.
 
-    ``frames`` are the link and end-effector poses, ``M`` the joint-space
+    ``frames`` are the :class:`Frames` of q, ``M`` the joint-space
     inertia and ``bias`` the term ``C(q, qd) qd + g(q)``.
     """
 
     q: np.ndarray
     qd: np.ndarray
-    frames: list
+    frames: Frames
     M: np.ndarray
     bias: np.ndarray
 
@@ -219,7 +201,7 @@ def coriolis_matrix(model: RobotModel, q, qd) -> np.ndarray:
     return 0.5 * (mdot + t2 - t3)
 
 
-def mdot_qd(model: RobotModel, frames, qd) -> np.ndarray:
+def mdot_qd(model: RobotModel, frames: Frames, qd) -> np.ndarray:
     """``Mdot qd``, the derivative of M along the motion, exactly.
 
     Entry i is ``S_i' F_i + Sdot_i' H_i``: ``F_i`` is the velocity-product
@@ -231,9 +213,10 @@ def mdot_qd(model: RobotModel, frames, qd) -> np.ndarray:
     """
     qd = np.asarray(qd, dtype=float).reshape(-1)
     # qdd = 0 and no gravity: the accelerations the motion alone produces
-    axes, origins, omega, v_origin, alpha, a_origin = _forward_pass(
-        model, frames, qd, np.zeros(model.n), np.zeros(3))
-    coms, inertias, masses = _world_com_data(model, frames)
+    omega, v_origin, alpha, a_origin = _forward_pass(
+        frames, qd, np.zeros(model.n), np.zeros(3))
+    axes, origins, coms, inertias = (frames.axes, frames.origins, frames.coms,
+                                     frames.inertias)
     out = np.empty(model.n)
     force = moment = momentum = ang_momentum = o_child = np.zeros(3)
     for i in range(model.n - 1, -1, -1):
@@ -242,8 +225,9 @@ def mdot_qd(model: RobotModel, frames, qd) -> np.ndarray:
         d = o_child - origins[i]
         Iw = inertias[i] @ w
         w_rc = cross3(w, rc)
-        F = masses[i] * (a_origin[i] + cross3(alpha[i], rc) + cross3(w, w_rc))
-        p = masses[i] * (v_origin[i] + w_rc)
+        m = model.links[i].mass
+        F = m * (a_origin[i] + cross3(alpha[i], rc) + cross3(w, w_rc))
+        p = m * (v_origin[i] + w_rc)
         # subtree wrench and momentum, moments about o_i
         moment = (inertias[i] @ alpha[i] + cross3(w, Iw) + cross3(rc, F)
                   + moment + cross3(d, force))
@@ -256,7 +240,7 @@ def mdot_qd(model: RobotModel, frames, qd) -> np.ndarray:
     return out
 
 
-def jacobian_dot_qd(model: RobotModel, frames, qd) -> np.ndarray:
+def jacobian_dot_qd(model: RobotModel, frames: Frames, qd) -> np.ndarray:
     """``Jdot qd`` of the body Jacobian, exactly.
 
     The rate of ``J_b qd = (R' w, R' v_ee)`` at ``qdd = 0``: the angular
@@ -264,13 +248,13 @@ def jacobian_dot_qd(model: RobotModel, frames, qd) -> np.ndarray:
     end-effector origin, both rotated into the end-effector frame.
     """
     qd = np.asarray(qd, dtype=float).reshape(-1)
-    _, origins, omega, v_origin, alpha, a_origin = _forward_pass(
-        model, frames, qd, np.zeros(model.n), np.zeros(3))
+    omega, v_origin, alpha, a_origin = _forward_pass(
+        frames, qd, np.zeros(model.n), np.zeros(3))
     ee = frames[-1]
     w, al = omega[-1], alpha[-1]
     # with r from the last joint origin o to the EE origin, a_ee - w x v_ee
     # = a_o + al x r + w x (w x r) - w x (v_o + w x r) = a_o + al x r - w x v_o
-    r = ee.translation - origins[-1]
+    r = ee.translation - frames.origins[-1]
     linear = a_origin[-1] + cross3(al, r) - cross3(w, v_origin[-1])
     RT = ee.rotation.T
     return np.concatenate([RT @ al, RT @ linear])
@@ -312,6 +296,6 @@ def forward_dynamics(kin: KinState, tau, tau_ext=None) -> np.ndarray:
 
 
 def potential_energy(model: RobotModel, q) -> float:
-    frames = forward_kinematics(model, q)
-    coms, _, masses = _world_com_data(model, frames)
+    masses = np.array([link.mass for link in model.links], dtype=float)
+    coms = forward_kinematics(model, q).coms
     return -float(np.sum(masses[:, None] * coms * model.gravity[None, :], axis=(0, 1)))

@@ -94,7 +94,10 @@ def _core_segment(shape, pose: Pose):
 def _segment_closest_points(p1, q1, p2, q2):
     """Closest points between segments [p1,q1] and [p2,q2] (Ericson 5.1.9).
 
-    Nearly parallel pairs go to :func:`_nearly_parallel_closest_points`.
+    Only a core of exactly zero length counts as a point; a short core is
+    still a segment, since taking it as its start point overstates the
+    distance by up to its length.  Nearly parallel pairs go to
+    :func:`_nearly_parallel_closest_points`.
     """
     d1 = q1 - p1
     d2 = q2 - p2
@@ -102,13 +105,13 @@ def _segment_closest_points(p1, q1, p2, q2):
     a = d1 @ d1
     e = d2 @ d2
     f = d2 @ r
-    if a <= _CORE_EPS and e <= _CORE_EPS:
+    if a == 0.0 and e == 0.0:
         return p1, p2
-    if a <= _CORE_EPS:
+    if a == 0.0:
         t = np.clip(f / e, 0.0, 1.0)
         return p1, p2 + t * d2
     c = d1 @ r
-    if e <= _CORE_EPS:
+    if e == 0.0:
         s = np.clip(-c / a, 0.0, 1.0)
         return p1 + s * d1, p2
     b = d1 @ d2

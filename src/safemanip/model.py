@@ -13,9 +13,12 @@ Jacobian conventions:
     a link (used by collision witnesses and contact localization).
 
 Per-state convention: ``forward_kinematics`` is the one place that walks the
-chain.  Every kinematic primitive here (and the dynamics and distance
-primitives built on them) takes its ``frames`` list as a required argument
-and never recomputes it.  The closed loop builds one
+chain and the one place that turns link data into world coordinates.  It
+returns :class:`Frames`, the list of the n + 1 poses, which also carries each
+link's world joint axis, joint origin, COM and COM inertia as read-only
+arrays.  Every kinematic primitive here (and the dynamics and distance
+primitives built on them) takes these ``frames`` as a required argument, reads
+those arrays and never recomputes them.  The closed loop builds one
 :class:`safemanip.dynamics.KinState` per state, holding the frames together
 with M(q) and the bias, and hands that object to every consumer of the tick.
 """
@@ -23,7 +26,7 @@ with M(q) and the bias, and hands that object to every consumer of the tick.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -133,28 +136,44 @@ class RobotModel:
         return q
 
 
-def forward_kinematics(model: RobotModel, q: np.ndarray) -> list:
-    """World poses of every link frame, then the end-effector (n + 1 poses)."""
+class Frames(list):
+    """World poses of every link frame, then the end-effector (n + 1 poses).
+
+    Row i of each read-only ``(n, ...)`` array is a world quantity of link i:
+    ``axes`` its joint axis, ``origins`` its joint origin (the translation of
+    frame i), ``coms`` its center of mass and ``inertias`` its rotational
+    inertia about the COM.
+    """
+
+    __slots__ = ("axes", "origins", "coms", "inertias")
+
+    def __init__(self, poses, axes, origins, coms, inertias):
+        super().__init__(poses)
+        for name, rows in zip(self.__slots__, (axes, origins, coms, inertias)):
+            stacked = np.array(rows)
+            stacked.flags.writeable = False
+            setattr(self, name, stacked)
+
+
+def forward_kinematics(model: RobotModel, q: np.ndarray) -> Frames:
+    """Link and end-effector poses of ``q`` and the world link quantities."""
     q = model.check_q(q)
-    poses = []
+    poses, axes, origins, coms, inertias = [], [], [], [], []
     R, t = np.eye(3), np.zeros(3)
-    for joint, qi in zip(model.joints, q):
+    for joint, link, qi in zip(model.joints, model.links, q):
         o = joint.origin
         t = R @ o.translation + t
         R = (R @ o.rotation) @ so3_exp(joint.axis * qi)
         poses.append(Pose(R, t))
+        axes.append(R @ joint.axis)
+        origins.append(t)
+        coms.append(R @ link.com + t)
+        inertias.append(R @ link.inertia @ R.T)
     poses.append(poses[-1] @ model.ee_frame)
-    return poses
+    return Frames(poses, axes, origins, coms, inertias)
 
 
-def _world_axes_origins(model: RobotModel, frames: Sequence[Pose]):
-    axes = np.stack([frames[i].rotation @ model.joints[i].axis
-                     for i in range(model.n)])
-    origins = np.stack([frames[i].translation for i in range(model.n)])
-    return axes, origins
-
-
-def geometric_jacobian(model: RobotModel, frames: Sequence[Pose],
+def geometric_jacobian(model: RobotModel, frames: Frames,
                        frame: int = -1) -> np.ndarray:
     """6 x n world-frame hybrid Jacobian of a link frame (default: EE).
 
@@ -167,7 +186,7 @@ def geometric_jacobian(model: RobotModel, frames: Sequence[Pose],
         target, last = frames[frame], frame
     else:
         raise ValueError(f"invalid frame index {frame} for {model.n}-joint chain")
-    axes, origins = _world_axes_origins(model, frames)
+    axes, origins = frames.axes, frames.origins
     J = np.zeros((6, model.n))
     p = target.translation
     for j in range(last + 1):
@@ -176,27 +195,27 @@ def geometric_jacobian(model: RobotModel, frames: Sequence[Pose],
     return J
 
 
-def point_jacobian(model: RobotModel, frames: Sequence[Pose], link: int,
+def point_jacobian(model: RobotModel, frames: Frames, link: int,
                    point_local: np.ndarray = (0.0, 0.0, 0.0)) -> np.ndarray:
     """3 x n world-frame Jacobian of a point attached to ``link``."""
     if not 0 <= link < model.n:
         raise ValueError(f"invalid link index {link} for {model.n}-joint chain")
     p = frames[link].apply(np.asarray(point_local, dtype=float))
-    axes, origins = _world_axes_origins(model, frames)
+    axes, origins = frames.axes, frames.origins
     J = np.zeros((3, model.n))
     for j in range(link + 1):
         J[:, j] = cross3(axes[j], p - origins[j])
     return J
 
 
-def point_jacobian_world(model: RobotModel, frames: Sequence[Pose], link: int,
+def point_jacobian_world(model: RobotModel, frames: Frames, link: int,
                          point_world: np.ndarray) -> np.ndarray:
     """Like :func:`point_jacobian` but for a point already given in world."""
     local = frames[link].inverse().apply(point_world)
     return point_jacobian(model, frames, link, local)
 
 
-def body_jacobian(model: RobotModel, frames: Sequence[Pose]) -> np.ndarray:
+def body_jacobian(model: RobotModel, frames: Frames) -> np.ndarray:
     """6 x n end-effector Jacobian with both blocks in EE-frame axes.
 
     Satisfies ``body_twist = J_b qdot`` where the body twist is the first-order

@@ -63,8 +63,7 @@ def _evaluate(problem: MpcProblem, z: np.ndarray, iterations: int,
                        status=status)
 
 
-def solve(problem: MpcProblem, cfg: MpcConfig,
-          deadline: Optional[float] = None) -> MpcSolution:
+def solve(problem: MpcProblem, cfg: MpcConfig) -> MpcSolution:
     """Solve the transcribed QP; returns the best iterate even on failure.
 
     Status 'infeasible' means no point satisfying all hard constraints was
@@ -81,8 +80,7 @@ def solve(problem: MpcProblem, cfg: MpcConfig,
         z0 = repaired
     res = solve_qp(problem.H, problem.g, problem.A_eq, problem.b_eq,
                    problem.A_in, problem.b_in, z0,
-                   max_iters=cfg.max_iters, tol=cfg.kkt_tol,
-                   deadline=deadline)
+                   max_iters=cfg.max_iters, tol=cfg.kkt_tol)
     return _evaluate(problem, res.z, res.iterations, res.status, cfg)
 
 
@@ -105,13 +103,12 @@ class Planner:
         self._cursor = 0  # how far the stored plan has been consumed
 
     def plan_step(self, x0, T_ref: Pose, obstacles=(),
-                  deadline: Optional[float] = None,
                   posture_target=None) -> PlanStep:
         inp = PlannerInput(x0=x0, T_ref=T_ref, obstacles=tuple(obstacles),
                            warm_start=self._last,
                            posture_target=posture_target)
         problem = transcribe(inp, self.cfg, self.model)
-        sol = solve(problem, self.cfg, deadline=deadline)
+        sol = solve(problem, self.cfg)
         n = self.model.n
         if sol.status != "infeasible":
             self._last = sol

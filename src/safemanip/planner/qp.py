@@ -7,9 +7,7 @@ it does not.  All tie-breaks are by lowest row index so repeated solves are
 bit-identical.
 """
 
-import time
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 import scipy.linalg
@@ -24,7 +22,7 @@ _REG_LADDER = (0.0, 1e-12, 1e-10, 1e-8)
 @dataclass
 class QpResult:
     z: np.ndarray
-    status: str            # optimal | max_iters | deadline | singular
+    status: str            # optimal | max_iters | singular
     iterations: int
     working_set: tuple
 
@@ -181,8 +179,7 @@ def feasibility_error(A_eq, b_eq, A_in, b_in, z):
 
 
 def solve_qp(H, g, A_eq, b_eq, A_in, b_in, z0,
-             max_iters: int = 200, tol: float = 1e-8,
-             deadline: Optional[float] = None) -> QpResult:
+             max_iters: int = 200, tol: float = 1e-8) -> QpResult:
     sparse = sp.issparse(H)
     z = np.array(z0, dtype=float)
     n_in = 0 if A_in is None else A_in.shape[0]
@@ -198,9 +195,6 @@ def solve_qp(H, g, A_eq, b_eq, A_in, b_in, z0,
         return QpResult(z=z, status="singular", iterations=0, working_set=())
     while it < max_iters:
         it += 1
-        if deadline is not None and time.monotonic() > deadline:
-            status = "deadline"
-            break
         r = H @ z + g
         sol = _kkt_step(base, A_in, r, working)
         if sol is None:
@@ -282,34 +276,24 @@ def make_feasible(A_eq, b_eq, A_in, b_in, z0, slack_rows,
     if not slack_rows:
         return z0
     ns = len(slack_rows)
-    sparse = sp.issparse(A_in) if A_in is not None else False
     eps = 1e-8
-
-    if sparse:
-        H = sp.block_diag((2 * eps * sp.identity(nz),
-                           2 * sp.identity(ns)), format="csr")
-        sel = sp.csr_matrix(
-            (np.ones(ns), (slack_rows, np.arange(ns))), shape=(n_in, ns))
-        A_in_aug = sp.bmat([[A_in, sel]], format="csr")
-        s_rows = sp.bmat([[sp.csr_matrix((ns, nz)), sp.identity(ns)]],
-                         format="csr")
-        A_in_full = sp.vstack([A_in_aug, s_rows], format="csr")
-        A_eq_aug = None
-        if A_eq is not None and A_eq.shape[0]:
-            A_eq_aug = sp.bmat([[A_eq, sp.csr_matrix((A_eq.shape[0], ns))]],
-                               format="csr")
-    else:
-        H = np.zeros((nz + ns, nz + ns))
-        H[:nz, :nz] = 2 * eps * np.eye(nz)
-        H[nz:, nz:] = 2 * np.eye(ns)
-        sel = np.zeros((n_in, ns))
-        sel[slack_rows, np.arange(ns)] = 1.0
-        A_in_aug = np.hstack([A_in, sel])
-        s_rows = np.hstack([np.zeros((ns, nz)), np.eye(ns)])
-        A_in_full = np.vstack([A_in_aug, s_rows])
-        A_eq_aug = None
-        if A_eq is not None and A_eq.shape[0]:
-            A_eq_aug = np.hstack([A_eq, np.zeros((A_eq.shape[0], ns))])
+    H = sp.block_diag((2 * eps * sp.identity(nz),
+                       2 * sp.identity(ns)), format="csr")
+    sel = sp.csr_matrix(
+        (np.ones(ns), (slack_rows, np.arange(ns))), shape=(n_in, ns))
+    A_in_aug = sp.bmat([[sp.csr_matrix(A_in), sel]], format="csr")
+    s_rows = sp.bmat([[sp.csr_matrix((ns, nz)), sp.identity(ns)]],
+                     format="csr")
+    A_in_full = sp.vstack([A_in_aug, s_rows], format="csr")
+    A_eq_aug = None
+    if A_eq is not None and A_eq.shape[0]:
+        A_eq_aug = sp.bmat([[sp.csr_matrix(A_eq),
+                             sp.csr_matrix((A_eq.shape[0], ns))]], format="csr")
+    if not sp.issparse(A_in):
+        # dense inputs keep solve_qp on its dense path
+        H, A_in_full = H.toarray(), A_in_full.toarray()
+        if A_eq_aug is not None:
+            A_eq_aug = A_eq_aug.toarray()
 
     g = np.concatenate([-2 * eps * z0, np.zeros(ns)])
     b_in_full = np.concatenate([b_in, np.zeros(ns)])

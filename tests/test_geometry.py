@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from safemanip.geometry import (
-    _CORE_EPS,
     Capsule,
     GradientUndefinedError,
     Obstacle,
@@ -82,12 +81,25 @@ _point = st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3).map(np.array)
 @settings(derandomize=True, deadline=None)
 @given(_point, _point, _point, _point)
 def test_segment_closest_points_beat_dense_sampling(p1, q1, p2, q2):
-    # below _CORE_EPS a nonzero core counts as a point
-    d1, d2 = q1 - p1, q2 - p2
-    assume(all(d @ d == 0.0 or d @ d > _CORE_EPS for d in (d1, d2)))
     c1, c2 = _segment_closest_points(p1, q1, p2, q2)
     assert (np.linalg.norm(c1 - c2)
             <= _sampled_segment_distance(p1, q1, p2, q2) + 1e-12)
+
+
+def test_segment_closest_points_short_core_is_a_segment():
+    # a 3e-5 m core ends 1 - 3e-5 m from the other segment, not 1 m
+    short = (np.zeros(3), np.array([3e-5, 0.0, 0.0]))
+    other = (np.array([1.0, 0.0, 0.0]), np.array([1.0, 1.0, 0.0]))
+    for segments in ((short, other), (other, short)):
+        c1, c2 = _segment_closest_points(*segments[0], *segments[1])
+        assert np.linalg.norm(c1 - c2) == pytest.approx(1.0 - 3e-5, abs=1e-15)
+
+
+def test_segment_closest_points_short_core_crossed_in_its_middle():
+    p1, q1 = np.array([-1.5e-5, 0.0, 0.0]), np.array([1.5e-5, 0.0, 0.0])
+    p2, q2 = np.array([0.0, -1.0, 0.0]), np.array([0.0, 1.0, 0.0])
+    c1, c2 = _segment_closest_points(p1, q1, p2, q2)
+    assert np.linalg.norm(c1 - c2) <= 1e-15
 
 
 def test_segment_closest_points_nearly_parallel_sharing_an_end():

@@ -75,6 +75,25 @@ def test_fk_equals_pose_composition_bitwise(robot_name, request, rng):
             assert np.array_equal(got.translation, want.translation)
 
 
+@pytest.mark.parametrize("robot_name", ["planar2r", "planar3r", "panda7"])
+def test_frames_carry_read_only_world_link_arrays(robot_name, request, rng):
+    # each array row is the world quantity recomputed from its own frame
+    model = request.getfixturevalue(robot_name)
+    for _ in range(50):
+        frames = forward_kinematics(model, rng.uniform(-2.5, 2.5, model.n))
+        for i, (joint, link) in enumerate(zip(model.joints, model.links)):
+            R = frames[i].rotation
+            assert np.array_equal(frames.axes[i], R @ joint.axis)
+            assert np.array_equal(frames.origins[i], frames[i].translation)
+            assert np.array_equal(frames.coms[i], frames[i].apply(link.com))
+            assert np.array_equal(frames.inertias[i], R @ link.inertia @ R.T)
+        assert frames.inertias.shape == (model.n, 3, 3)
+        for rows in (frames.axes, frames.origins, frames.coms, frames.inertias):
+            assert rows.shape[0] == model.n
+            with pytest.raises(ValueError):
+                rows[0] = 0.0
+
+
 def test_fk_rejects_wrong_dimension(planar2r):
     with pytest.raises(ValueError):
         forward_kinematics(planar2r, np.zeros(3))

@@ -353,25 +353,48 @@ def test_qp_matches_enumerated_active_sets(m_eq):
             np.testing.assert_allclose(res.z, want, rtol=0, atol=1e-8)
 
 
-def test_make_feasible_repairs_marked_rows():
+_DENSE_AND_CSR = pytest.mark.parametrize(
+    "form", [np.asarray, sp.csr_matrix], ids=["dense", "csr"])
+
+
+@_DENSE_AND_CSR
+def test_make_feasible_repairs_marked_rows(form):
     A_in = np.array([[1.0, 0.0], [0.0, 1.0]])
     b_in = np.array([1.0, -5.0])
-    z = make_feasible(None, None, A_in, b_in, np.zeros(2), slack_rows=[0])
+    z = make_feasible(None, None, form(A_in), b_in, np.zeros(2),
+                      slack_rows=[0])
     assert z is not None
     assert A_in[0] @ z >= 1.0 - 1e-7
 
 
-def test_make_feasible_rejects_unmarked_violation():
+@_DENSE_AND_CSR
+def test_make_feasible_keeps_equality_rows(form):
+    # z0 >= 1 is repaired along the equality z0 = z1
+    A_eq = np.array([[1.0, -1.0]])
+    b_eq = np.array([0.0])
+    A_in = np.array([[1.0, 0.0], [0.0, 1.0]])
+    b_in = np.array([1.0, -5.0])
+    z = make_feasible(form(A_eq), b_eq, form(A_in), b_in, np.zeros(2),
+                      slack_rows=[0])
+    assert z is not None
+    assert A_in[0] @ z >= 1.0 - 1e-7
+    assert abs(A_eq[0] @ z) <= 1e-9
+
+
+@_DENSE_AND_CSR
+def test_make_feasible_rejects_unmarked_violation(form):
     A_in = np.array([[1.0, 0.0]])
     b_in = np.array([1.0])
-    assert make_feasible(None, None, A_in, b_in, np.zeros(2), slack_rows=[]) is None
+    assert make_feasible(None, None, form(A_in), b_in, np.zeros(2),
+                         slack_rows=[]) is None
 
 
-def test_make_feasible_detects_contradiction():
+@_DENSE_AND_CSR
+def test_make_feasible_detects_contradiction(form):
     # z >= 1 and -z >= 0 cannot both hold no matter the slack
     A_in = np.array([[1.0], [-1.0]])
     b_in = np.array([1.0, 0.0])
-    assert make_feasible(None, None, A_in, b_in, np.array([0.5]),
+    assert make_feasible(None, None, form(A_in), b_in, np.array([0.5]),
                          slack_rows=[0, 1]) is None
 
 
@@ -631,8 +654,8 @@ def test_planner_fallback_consumes_previous_plan(planar2r, monkeypatch):
     import safemanip.planner.planner as planner_mod
     real_solve = planner_mod.solve
 
-    def fake_solve(problem, cfg, deadline=None):
-        sol = real_solve(problem, cfg, deadline=deadline)
+    def fake_solve(problem, cfg):
+        sol = real_solve(problem, cfg)
         return MpcSolution(X=sol.X, U=sol.U, cost=sol.cost,
                            max_defect=sol.max_defect,
                            min_predicted_distance=sol.min_predicted_distance,
@@ -654,8 +677,8 @@ def test_planner_fallback_without_history_holds_position(planar2r, monkeypatch):
     import safemanip.planner.planner as planner_mod
     real_solve = planner_mod.solve
 
-    def fake_solve(problem, cfg, deadline=None):
-        sol = real_solve(problem, cfg, deadline=deadline)
+    def fake_solve(problem, cfg):
+        sol = real_solve(problem, cfg)
         return MpcSolution(X=sol.X, U=sol.U, cost=sol.cost,
                            max_defect=sol.max_defect,
                            min_predicted_distance=sol.min_predicted_distance,

@@ -7,9 +7,9 @@ Subcommands::
     safemanip validate [-o DIR]
 
 Exit codes are a contract: 0 on success, 1 on configuration errors (bad
-paths, malformed scenarios, bad overrides), 2 when the planner aborts beyond
-its fallback budget.  Nothing is written to stderr on success; diagnostics go
-to stdout.
+paths, malformed scenario or robot files, bad overrides), 2 when the planner
+aborts beyond its fallback budget.  Nothing is written to stderr on success;
+diagnostics go to stdout.
 """
 
 import argparse
@@ -18,7 +18,8 @@ import sys
 from pathlib import Path
 
 from . import validate as validate_mod
-from .scenario import ScenarioError, load_scenario
+from .robots import InputFileError
+from .scenario import load_scenario
 from .sim import (SolverAbort, check_comparable, compare_runs, run,
                   run_schedule)
 
@@ -86,8 +87,8 @@ def _cmd_compare(args) -> int:
     try:
         check_comparable(run_schedule(sa), run_schedule(sb))
     except ValueError as exc:
-        raise ScenarioError(f"cannot compare {args.scenario_a} with "
-                            f"{args.scenario_b}: {exc}") from exc
+        raise InputFileError(f"cannot compare {args.scenario_a} with "
+                             f"{args.scenario_b}: {exc}") from exc
     out = Path(args.output)
     code = EXIT_OK
     reports = []
@@ -144,7 +145,7 @@ def main(argv=None) -> int:
         if args.command == "compare":
             return _cmd_compare(args)
         return _cmd_validate(args)
-    except ScenarioError as exc:
+    except InputFileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -189,9 +189,7 @@ def run(scenario: Scenario, out_dir=None) -> RunReport:
     T_hold = forward_kinematics(model, q)[-1]
 
     waypoint_at = {}
-    for t_w, pose in scenario.reference:
-        if t_w > scenario.duration + 0.5 * dt:
-            continue
+    for t_w, pose in _reported_waypoints(scenario):
         idx = min(n_ticks - 1, int(round(t_w * rate)))
         waypoint_at.setdefault(idx, []).append((t_w, pose))
 
@@ -404,12 +402,17 @@ def check_comparable(a, b) -> None:
         raise ValueError(f"waypoint schedules differ: {ta} vs {tb}")
 
 
+def _reported_waypoints(scenario: Scenario):
+    """The reference waypoints a run reports: those up to its last tick."""
+    dt = 1.0 / scenario.control_rate
+    return [(t, pose) for t, pose in scenario.reference
+            if t <= scenario.duration + 0.5 * dt]
+
+
 def run_schedule(scenario: Scenario):
     """The (robot, duration, waypoint times) triple a run will report."""
-    dt = 1.0 / scenario.control_rate
     return (scenario.model.name, scenario.duration,
-            [t for t, _ in scenario.reference
-             if t <= scenario.duration + 0.5 * dt])
+            [t for t, _ in _reported_waypoints(scenario)])
 
 
 def compare_runs(a: RunReport, b: RunReport) -> RunComparison:

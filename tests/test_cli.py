@@ -21,6 +21,12 @@ ABORT = dict(RUN, name="cli-abort", duration=0.2, fallback_budget=1,
                          "position": [0.46, 0.19, 0.0]}])
 
 
+# a robot file beside the scenario, with a scalar where a mapping belongs
+LIMITS_5 = {"joints": [{"axis": [0, 0, 1], "limits": 5}],
+            "links": [{"mass": 1.0, "com": [1.0, 0.0, 0.0]}]}
+NAN = float("nan")
+
+
 def _scenario(tmp_path, doc):
     path = tmp_path / "scenario.yaml"
     path.write_text(doc if isinstance(doc, str) else yaml.safe_dump(doc))
@@ -44,9 +50,34 @@ def test_run_exits_0_writes_report_and_keeps_stderr_empty(tmp_path, capsys):
     (RUN, ["--set", "planner.horizons=3"], "horizons"),
     (RUN, ["--set", "planner.N"], "section.key=value"),
     ("- planar2r\n", ["--set", "planner.N=3"], "must be a mapping"),
+    (dict(RUN, robot="nosuchrobot"), [], "robot file not found: nosuchrobot"),
+    (dict(RUN, robot="limits5.yaml"), [],
+     "limits5.yaml: joints[0].limits: must be a mapping"),
+    (dict(RUN, controller={"gains": dict.fromkeys(
+        ("kp1", "kd1", "kp2", "kd2"), [1, 2, 3])}), [],
+     "controller.gains.kd1: expected 2 finite numbers"),  # keys sorted
+    (RUN, ["--set", "controller.gains.kp1=[1, 2, 3]"],
+     "controller.gains.kp1: expected 2 finite numbers"),
+    (RUN, ["--set", "controller.gains.kd3=[1, 2]"],
+     "controller.gains.kd3: expected 6 finite numbers"),
+    (dict(RUN, duration=NAN), [], "duration: expected a finite number"),
+    (dict(RUN, q0=[NAN, 1.0]), [], "q0: expected 2 finite numbers"),
+    (dict(RUN, contact_events=[{"start": NAN, "end": 0.05, "link": 1,
+                                "force": [0.0, -10.0, 0.0],
+                                "point": [0.0, 0.0, 0.0]}]), [],
+     "contact_events[0].start: expected a finite number"),
+    (dict(RUN, plan_latency=0.06), [],
+     "plan_latency: 0.06 s exceeds 0.049 s"),
+    (RUN, ["--set", "planner.dt=.nan"], "planner.dt: expected only finite"),
+    (dict(ABORT, obstacles=[dict(ABORT["obstacles"][0], track=[])]), [],
+     "obstacles[0].track: expected at least one waypoint"),
 ], ids=["missing-file", "invalid-yaml", "unknown-key", "unknown-nested-key",
-        "malformed-set", "set-on-a-list"])
+        "malformed-set", "set-on-a-list", "unknown-robot", "robot-limits-5",
+        "gains-all-of-size-3", "gain-kp1-of-size-3", "gain-kd3-of-size-2",
+        "nan-duration", "nan-q0", "nan-contact-start", "latency-over-period",
+        "nan-planner-dt", "empty-track"])
 def test_configuration_errors_exit_1(tmp_path, capsys, doc, extra, message):
+    (tmp_path / "limits5.yaml").write_text(yaml.safe_dump(LIMITS_5))
     path = (str(tmp_path / "absent.yaml") if doc is None
             else _scenario(tmp_path, doc))
     argv = ["run", path, "-o", str(tmp_path / "out")] + extra
@@ -54,6 +85,7 @@ def test_configuration_errors_exit_1(tmp_path, capsys, doc, extra, message):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert message in err
+    assert "Traceback" not in err
 
 
 def test_unknown_subcommand_bench_exits_1(tmp_path):

@@ -1,13 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 
 from safemanip.geometry import Capsule, Sphere
 from safemanip.model import forward_kinematics
-from safemanip.robots import (
-    RobotFileError,
-    load_robot,
-    robot_from_dict,
-)
+from safemanip.robots import InputFileError, load_robot, robot_from_dict
 
 
 def minimal_doc():
@@ -38,7 +36,8 @@ def test_panda7_has_one_body_per_link():
 
 
 def test_unknown_robot_name():
-    with pytest.raises(RobotFileError):
+    with pytest.raises(InputFileError, match="robot file not found: "
+                                             "not_a_robot"):
         load_robot("not_a_robot")
 
 
@@ -53,14 +52,37 @@ def test_robot_from_dict_minimal():
 def test_robot_from_dict_missing_field_names_path():
     doc = minimal_doc()
     del doc["joints"][0]["axis"]
-    with pytest.raises(RobotFileError, match="joints"):
+    with pytest.raises(InputFileError, match=r"joints\[0\]\.axis"):
         robot_from_dict(doc)
 
 
 def test_robot_from_dict_bad_mass():
     doc = minimal_doc()
     doc["links"][0]["mass"] = -1.0
-    with pytest.raises((RobotFileError, ValueError)):
+    with pytest.raises(InputFileError, match=r"links\[0\]\.mass"):
+        robot_from_dict(doc)
+
+
+@pytest.mark.parametrize("where, key", [
+    ("", "joint"),
+    ("joints[0]", "orgin"),
+    ("joints[0].limits", "effort"),
+    ("joints[0].origin", "rotation"),
+    ("links[0]", "inertial"),
+    ("ee", "frame"),
+    ("collision[0]", "center"),
+])
+def test_robot_file_key_outside_the_format_is_rejected(where, key):
+    doc = minimal_doc()
+    doc["collision"] = [{"link": 0, "type": "capsule", "radius": 0.05,
+                         "a": [0, 0, 0], "b": [1, 0, 0]}]
+    node = doc
+    for part in where.replace("[0]", ".0").split(".") if where else ():
+        node = node[int(part)] if part.isdigit() else node[part]
+    node[key] = [0.0, 0.0, 0.0]
+    message = f"unknown keys ['{key}']"
+    with pytest.raises(InputFileError, match=re.escape(
+            f"{where}: {message}" if where else message)):
         robot_from_dict(doc)
 
 

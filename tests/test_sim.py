@@ -25,6 +25,10 @@ import hashlib
 import logging
 import math
 
+import pytest
+
+from safemanip import sim
+from safemanip.robots import InputFileError
 from safemanip.scenario import scenario_from_dict
 from safemanip.sim import run
 
@@ -116,3 +120,29 @@ def test_damped_singular_task_is_reported_on_every_run(tmp_path, caplog):
         assert ("contact-safe ticks with a damped singular task: 100"
                 in report.as_text())
         assert caplog.text.count("near singular") == 1
+
+
+def test_largest_plan_latency_still_delivers_every_plan(tmp_path,
+                                                        monkeypatch):
+    # each planner tick replaces the pending plan, so a latency above the
+    # last control tick of the planner period (49 ms at 20 Hz / 1 kHz)
+    # would leave the controller tracking q0 for the whole run
+    doc = {
+        "name": "latency", "robot": "planar2r", "duration": 0.1,
+        "control_rate": 1000, "planner_rate": 20, "q0": [0.4, 1.2],
+        "planner": {"horizon": 8, "dt": 0.05,
+                    "task_selection": [0, 0, 1, 1, 1, 0]},
+        "reference": [{"t": 0.0, "position": [0.8, 1.2, 0.0]}],
+    }
+    for late in (0.0495, 0.05, 0.06):
+        with pytest.raises(InputFileError, match="plan_latency"):
+            scenario_from_dict(dict(doc, plan_latency=late))
+    sampled = []
+    sample_plan = sim._sample_plan
+    monkeypatch.setattr(sim, "_sample_plan", lambda X, t0, t, *rest: (
+        sampled.append((t0, t)) or sample_plan(X, t0, t, *rest)))
+    run(scenario_from_dict(dict(doc, plan_latency=0.049)), out_dir=tmp_path)
+    # the plan made at tick 0 acts from tick 49, the one made at tick 50
+    # from tick 99
+    assert sampled[0] == (0.0, 0.049)
+    assert [t0 for t0, _ in sampled] == [0.0] * 50 + [0.05]

@@ -4,6 +4,8 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from ..robots import fail, integer, number, vector
+
 
 def _diag6(value) -> np.ndarray:
     arr = np.asarray(value, dtype=float).reshape(-1)
@@ -12,6 +14,18 @@ def _diag6(value) -> np.ndarray:
     if arr.shape != (6,):
         raise ValueError(f"expected scalar or 6 diagonal entries, got shape {arr.shape}")
     return arr
+
+
+def _typed(value, kind, where):
+    if kind is int:
+        return integer(value, where)
+    if kind is float:
+        return number(value, where)
+    if kind is np.ndarray:
+        return vector(value, None, where)
+    if kind is bool and not isinstance(value, bool):
+        fail(where, f"expected true or false, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -76,19 +90,23 @@ class MpcConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "MpcConfig":
+        """The config of a ``planner`` section; a value of the wrong type
+        raises InputFileError naming ``planner.<key>``."""
         if not isinstance(doc, dict):
             raise ValueError("planner config must be a mapping")
-        doc = dict(doc)
+        types = {f.name: f.type for f in fields(cls)}
+        unknown = set(doc) - set(types) - {"N"}
+        if unknown:
+            raise ValueError(
+                f"unknown planner config keys: {sorted(unknown)} "
+                f"(known: {sorted(types)} plus alias N)")
+        types["N"] = int
+        doc = {key: _typed(value, types[key], f"planner.{key}")
+               for key, value in doc.items()}
         if "N" in doc:
             if "horizon" in doc:
                 raise ValueError("give either N or horizon, not both")
             doc["horizon"] = doc.pop("N")
-        known = {f.name for f in fields(cls)}
-        unknown = set(doc) - known
-        if unknown:
-            raise ValueError(
-                f"unknown planner config keys: {sorted(unknown)} "
-                f"(known: {sorted(known)} plus alias N)")
         return cls(**doc)
 
     def stage_weights(self, n: int):

@@ -5,6 +5,18 @@ The caller supplies a start that already satisfies every constraint; the
 helper :func:`make_feasible` repairs a candidate with a slack subproblem when
 it does not.  All tie-breaks are by lowest row index so repeated solves are
 bit-identical.
+
+Cost per iteration: no KKT backsolve.  The step is the equality-constrained
+minimizer, fixed per factorization, minus the current point, corrected
+through a dense Schur complement of the k working rows (one k-by-k solve);
+the ratio test is one product ``A_in @ p``.  KKT backsolves happen once per
+factorization and once per row added to the working set (:class:`_BaseKkt`).
+
+A row blocks the step only when ``a_j.p < -_DIR_TOL |a_j| |p|``.  Rows that
+are linear combinations of the working set show ``a_j.p`` of roundoff size
+along the step; an absolute threshold let them enter, which made the Schur
+complement near-singular, failed the KKT residual check and sent the solve
+up the regularization ladder.  The relative test ignores them.
 """
 
 from dataclasses import dataclass
@@ -12,10 +24,11 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
+from scipy.sparse.linalg import norm as sparse_norm
 from scipy.sparse.linalg import splu
 
 _STEP_TOL = 1e-9   # relative to 1 + |z|, to ride out KKT solve noise
-_DIR_TOL = 1e-12
+_DIR_TOL = 1e-10   # relative to |a_j| |p|, so roundoff never blocks a step
 _REG_LADDER = (0.0, 1e-12, 1e-10, 1e-8)
 
 
@@ -28,26 +41,37 @@ class QpResult:
 
 
 class _BaseKkt:
-    """Factorization of [[H, A_eq'], [A_eq, 0]], reused across active-set
-    iterations.
+    """Factorization of K0 = [[H, A_eq'], [A_eq, 0]] and the working set
+    applied to it through a Schur complement.
 
-    Working-set rows never enter the factorization; they are applied through
-    a Schur complement built from cached solves ``K0^{-1} [a_j; 0]``, one per
-    inequality row ever activated.  This keeps the per-iteration cost at a
-    couple of backsolves instead of a fresh factorization.
+    Working-set rows never enter the factorization.  Slot i of the working
+    arrays holds the dense row ``C[i] = a_j`` of inequality row ``rows[i]``
+    and its solve ``Y[i] = K0^{-1} [a_j; 0]``; ``S = C Y[:, :nz]'`` is the
+    Schur complement.  An add does one backsolve and grows S by one row and
+    one column; a drop moves the last slot into the freed one.  The arrays
+    double their capacity when full.  ``x_eq = K0^{-1} [-g; b_eq]`` holds the
+    minimizer under A_eq alone, so at a point z with A_eq z = b_eq the
+    step without working rows is ``x_eq - [z; 0]``.  Each regularization
+    step refactors and recomputes x_eq, Y and S from the cached rows.
     """
 
-    def __init__(self, H, A_eq, sparse):
+    def __init__(self, H, g, A_eq, b_eq, sparse):
         self.H = H
+        self.g = g
         self.A_eq = A_eq
         self.sparse = sparse
         self.nz = H.shape[0]
         self.m_eq = 0 if A_eq is None else A_eq.shape[0]
         self.dim = self.nz + self.m_eq
+        self._rhs_eq = np.concatenate([-g, [] if b_eq is None else b_eq])
+        self.k = 0
+        self.rows = np.zeros(32, dtype=int)
+        self.C = np.zeros((32, self.nz))
+        self.Y = np.zeros((32, self.dim))
+        self.S = np.zeros((32, 32))
         self._pos = -1
         self._lu = None
         self._K = None
-        self._cols = {}
         self._advance()
 
     def _advance(self) -> bool:
@@ -59,7 +83,13 @@ class _BaseKkt:
                 self._factor(reg)
             except (RuntimeError, np.linalg.LinAlgError):
                 continue
-            self._cols.clear()
+            self.x_eq = self.solve(self._rhs_eq)
+            k = self.k
+            if k:
+                rhs = np.zeros((self.dim, k))
+                rhs[:self.nz] = self.C[:k].T
+                self.Y[:k] = self.solve(rhs).T
+                self.S[:k, :k] = self.C[:k] @ self.Y[:k, :self.nz].T
             return True
         return False
 
@@ -89,32 +119,74 @@ class _BaseKkt:
                     K = K + reg * np.eye(nz)
             self._lu = scipy.linalg.lu_factor(K)
             self._K = K
-        self._reg = reg
 
     def solve(self, rhs):
         if self.sparse:
             return self._lu.solve(rhs)
         return scipy.linalg.lu_solve(self._lu, rhs)
 
-    def col(self, A_in, j: int):
-        y = self._cols.get(j)
-        if y is None:
-            a = A_in[j]
-            if sp.issparse(a):
-                a = a.toarray().ravel()
-            rhs = np.zeros(self.dim)
-            rhs[:self.nz] = a
-            y = self.solve(rhs)
-            self._cols[j] = y
-        return y
+    def add(self, row: int, a):
+        k = self.k
+        if k == len(self.rows):  # full: double the capacity
+            self.rows, self.C, self.Y = (
+                np.resize(arr, (2 * k,) + arr.shape[1:])
+                for arr in (self.rows, self.C, self.Y))
+            self.S = np.pad(self.S, (0, k))
+        rhs = np.zeros(self.dim)
+        rhs[:self.nz] = a
+        y = self.solve(rhs)
+        self.rows[k] = row
+        self.C[k] = a
+        self.Y[k] = y
+        self.S[:k, k] = self.C[:k] @ y[:self.nz]
+        self.S[k, :k] = self.Y[:k, :self.nz] @ a
+        self.S[k, k] = a @ y[:self.nz]
+        self.k = k + 1
+
+    def drop(self, slot: int):
+        last = self.k - 1
+        for arr in (self.rows, self.C, self.Y, self.S):
+            arr[slot] = arr[last]
+        self.S[:, slot] = self.S[:, last]
+        self.k = last
+
+    def step(self, z):
+        """Solve the equality-constrained subproblem for the working set.
+
+        Returns (p, lam) where lam[i] is the multiplier of slot i in the
+        convention that optimal rows need lam >= 0, or None when the system
+        stays inconsistent through the whole regularization ladder.
+        """
+        nz = self.nz
+        b = np.concatenate([-(self.H @ z + self.g), np.zeros(self.m_eq)])
+        bound = 1e-6 * (1.0 + float(np.linalg.norm(b, np.inf)))
+        while True:
+            k = self.k
+            C, Y = self.C[:k], self.Y[:k]
+            x = self.x_eq.copy()
+            x[:nz] -= z
+            ok = np.all(np.isfinite(x))
+            lam = np.zeros(0)
+            if ok and k:
+                lam = _schur_solve(self.S[:k, :k], C @ x[:nz])
+                ok = lam is not None
+                if ok:
+                    x -= Y.T @ lam
+            if ok:
+                top = self._K @ x
+                top[:nz] += C.T @ lam
+                resid = float(np.linalg.norm(top - b, np.inf))
+                cres = float(np.abs(C @ x[:nz]).max(initial=0.0))
+                if resid <= bound and cres <= bound:
+                    return x[:nz], -lam
+            if not self._advance():
+                return None
 
 
 def _schur_solve(S, rhs):
     """Small dense solve with a deterministic fallback for degenerate
     working sets (nearly parallel rows)."""
-    scale = float(np.abs(np.diag(S)).max()) if S.size else 1.0
-    if scale == 0.0:
-        scale = 1.0
+    scale = float(np.abs(np.diag(S)).max(initial=0.0)) or 1.0
     for reg in (0.0, 1e-12, 1e-8):
         try:
             lam = np.linalg.solve(S + reg * scale * np.eye(S.shape[0]), rhs)
@@ -125,46 +197,13 @@ def _schur_solve(S, rhs):
     return None
 
 
-def _kkt_step(base: _BaseKkt, A_in, r, working):
-    """Solve the equality-constrained subproblem for the current working set.
-
-    Returns (p, lam) where lam are the working-row multipliers in the
-    convention that optimal rows need lam >= 0, or None when the system
-    stays inconsistent through the whole regularization ladder.
-    """
-    nz = base.nz
-    b = np.concatenate([-r, np.zeros(base.m_eq)])
-    while True:
-        x0 = base.solve(b)
-        ok = np.all(np.isfinite(x0))
-        lam_hat = np.zeros(0)
-        x = x0
-        if ok and working:
-            Y = np.column_stack([base.col(A_in, j) for j in working])
-            C = A_in[working]
-            S = C @ Y[:nz]
-            rhs_s = C @ x0[:nz]
-            if sp.issparse(S):
-                S = S.toarray()
-            lam_hat = _schur_solve(np.asarray(S), np.asarray(rhs_s).ravel())
-            ok = lam_hat is not None
-            if ok:
-                x = x0 - Y @ lam_hat
-        if ok:
-            top = base._K @ x
-            if working:
-                ct = A_in[working].T @ lam_hat
-                top = top + np.concatenate([np.asarray(ct).ravel(),
-                                            np.zeros(base.m_eq)])
-            resid = float(np.linalg.norm(top - b, np.inf))
-            cres = 0.0
-            if working:
-                cres = float(np.abs(A_in[working] @ x[:nz]).max())
-            bound = 1e-6 * (1.0 + float(np.linalg.norm(b, np.inf)))
-            if resid <= bound and cres <= bound:
-                return x[:nz], -lam_hat
-        if not base._advance():
-            return None
+def _dense_row(A, j: int, n: int):
+    if not sp.issparse(A):
+        return np.array(A[j], dtype=float)
+    a = np.zeros(n)
+    lo, hi = A.indptr[j], A.indptr[j + 1]
+    np.add.at(a, A.indices[lo:hi], A.data[lo:hi])
+    return a
 
 
 def feasibility_error(A_eq, b_eq, A_in, b_in, z):
@@ -183,62 +222,59 @@ def solve_qp(H, g, A_eq, b_eq, A_in, b_in, z0,
     sparse = sp.issparse(H)
     z = np.array(z0, dtype=float)
     n_in = 0 if A_in is None else A_in.shape[0]
-    m_eq = 0 if A_eq is None else A_eq.shape[0]
-    working: list = []
+    if n_in:
+        if sp.issparse(A_in):
+            A_in = A_in.tocsr()
+            row_norm = sparse_norm(A_in, axis=1)
+        else:
+            row_norm = np.linalg.norm(A_in, axis=1)
+        Az = A_in @ z
     in_working = np.zeros(n_in, dtype=bool)
     status = "max_iters"
     it = 0
     stall = 0
     bland = False  # anti-cycling fallback for degenerate active sets
-    base = _BaseKkt(H, A_eq, sparse)
+    base = _BaseKkt(H, np.asarray(g, dtype=float), A_eq, b_eq, sparse)
     if base._lu is None:
         return QpResult(z=z, status="singular", iterations=0, working_set=())
     while it < max_iters:
         it += 1
-        r = H @ z + g
-        sol = _kkt_step(base, A_in, r, working)
+        sol = base.step(z)
         if sol is None:
             status = "singular"
             break
         p, lam = sol
         step_tol = _STEP_TOL * (1.0 + np.linalg.norm(z, np.inf))
         if np.linalg.norm(p, np.inf) <= step_tol:
-            if working:
-                j_min = -1
-                if bland:
-                    # lowest row index with a negative multiplier (working
-                    # list is sorted, so the first hit is the lowest row)
-                    for j in range(len(lam)):
-                        if lam[j] < -tol:
-                            j_min = j
-                            break
-                else:
-                    j = int(np.argmin(lam))  # first occurrence = lowest row
-                    if lam[j] < -tol:
-                        j_min = j
-                if j_min >= 0:
-                    row = working.pop(j_min)
-                    in_working[row] = False
-                    stall += 1
-                    if stall >= 50:
-                        bland = True
-                    continue
+            if lam.size and lam.min() < -tol:
+                # Bland: lowest row with a negative multiplier; otherwise
+                # the lowest row at the most negative one
+                hit = (lam < -tol) if bland else (lam == lam.min())
+                slot = int(np.flatnonzero(hit)[
+                    np.argmin(base.rows[:base.k][hit])])
+                in_working[base.rows[slot]] = False
+                base.drop(slot)
+                stall += 1
+                if stall >= 50:
+                    bland = True
+                continue
             status = "optimal"
             break
         alpha = 1.0
         block = -1
         if n_in:
             Ap = A_in @ p
-            mask = (~in_working) & (Ap < -_DIR_TOL)
+            mask = (~in_working) & (
+                Ap < -_DIR_TOL * row_norm * np.linalg.norm(p))
             if np.any(mask):
-                slack = A_in @ z - b_in
                 with np.errstate(divide="ignore", invalid="ignore"):
-                    ratio = np.where(mask, -slack / Ap, np.inf)
+                    ratio = np.where(mask, (b_in - Az) / Ap, np.inf)
                 ratio = np.maximum(ratio, 0.0)
                 a_min = float(ratio.min())
                 if a_min < alpha:
                     alpha = a_min
                     block = int(np.argmin(ratio))  # lowest index at the min
+            Az += alpha * Ap
         z = z + alpha * p
         if alpha > _STEP_TOL:
             stall = 0
@@ -247,12 +283,10 @@ def solve_qp(H, g, A_eq, b_eq, A_in, b_in, z0,
             if stall >= 50:
                 bland = True
         if block >= 0:
-            # keep the working list sorted so multiplier ties are by row index
-            lo = int(np.searchsorted(np.asarray(working, dtype=int), block))
-            working.insert(lo, block)
+            base.add(block, _dense_row(A_in, block, z.size))
             in_working[block] = True
     return QpResult(z=z, status=status, iterations=it,
-                    working_set=tuple(working))
+                    working_set=tuple(sorted(base.rows[:base.k].tolist())))
 
 
 def make_feasible(A_eq, b_eq, A_in, b_in, z0, slack_rows,

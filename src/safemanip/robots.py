@@ -97,11 +97,13 @@ def integer(value, where, low=None, below=None) -> int:
 
 
 def vector(value, size, where) -> np.ndarray:
-    """``size`` (any number when None) finite numbers as a float array."""
+    """``size`` (any number when None) finite numbers as a float array;
+    strings and booleans are not numbers, as in :func:`number`."""
     try:
-        arr = np.asarray(value, dtype=float).reshape(-1)
-    except (TypeError, ValueError):
-        arr = None
+        arr = np.asarray(value)
+    except ValueError:  # ragged nesting
+        arr = np.asarray(None)
+    arr = arr.astype(float).reshape(-1) if arr.dtype.kind in "iuf" else None
     if (arr is None or arr.shape != (size or arr.size,)
             or not np.all(np.isfinite(arr))):
         fail(where, f"expected {size or 'only'} finite numbers, got {value!r}")
@@ -128,6 +130,8 @@ def build(make, where, *args, **kwargs):
     """``make(*args, **kwargs)``, its TypeError or ValueError at ``where``."""
     try:
         return make(*args, **kwargs)
+    except InputFileError:
+        raise  # already names its field
     except (TypeError, ValueError) as exc:
         fail(where, exc)
 

@@ -287,9 +287,6 @@ def scenario_from_dict(doc: dict, base_dir: Optional[Path] = None,
             point=vector(edoc["point"], 3, f"{here}.point")))
 
     pdoc = mapping(doc.get("planner") or {}, "planner")
-    for key, value in pdoc.items():  # MpcConfig checks ranges, not finiteness
-        if isinstance(value, (float, list)):
-            vector(value, None, f"planner.{key}")
     planner = build(MpcConfig.from_dict, "planner", pdoc)
     gains, usde_k, reaction = _controller_section(doc.get("controller"), n)
 

@@ -68,14 +68,22 @@ def test_run_exits_0_writes_report_and_keeps_stderr_empty(tmp_path, capsys):
      "contact_events[0].start: expected a finite number"),
     (dict(RUN, plan_latency=0.06), [],
      "plan_latency: 0.06 s exceeds 0.049 s"),
-    (RUN, ["--set", "planner.dt=.nan"], "planner.dt: expected only finite"),
+    (RUN, ["--set", "planner.dt=.nan"], "planner.dt: expected a finite number"),
+    (RUN, ["--set", "planner.horizon=8.5"],
+     "planner.horizon: expected an integer, got 8.5"),
+    (RUN, ["--set", "planner.max_iters=2.5"],
+     "planner.max_iters: expected an integer, got 2.5"),
+    (RUN, ["--set", "planner.task_oriented=maybe"],
+     "planner.task_oriented: expected true or false, got 'maybe'"),
+    (RUN, ["--set", "q0=['0.4','1.2']"], "q0: expected 2 finite numbers"),
     (dict(ABORT, obstacles=[dict(ABORT["obstacles"][0], track=[])]), [],
      "obstacles[0].track: expected at least one waypoint"),
 ], ids=["missing-file", "invalid-yaml", "unknown-key", "unknown-nested-key",
         "malformed-set", "set-on-a-list", "unknown-robot", "robot-limits-5",
         "gains-all-of-size-3", "gain-kp1-of-size-3", "gain-kd3-of-size-2",
         "nan-duration", "nan-q0", "nan-contact-start", "latency-over-period",
-        "nan-planner-dt", "empty-track"])
+        "nan-planner-dt", "float-horizon", "float-max-iters",
+        "word-task-oriented", "string-q0", "empty-track"])
 def test_configuration_errors_exit_1(tmp_path, capsys, doc, extra, message):
     (tmp_path / "limits5.yaml").write_text(yaml.safe_dump(LIMITS_5))
     path = (str(tmp_path / "absent.yaml") if doc is None

@@ -23,6 +23,7 @@ from safemanip.planner import (
     terminal_cost,
     transcribe,
 )
+from safemanip.planner import qp
 from safemanip.planner.planner import MpcSolution
 from safemanip.planner.qp import make_feasible, solve_qp
 from safemanip.planner.transcription import _braking_inputs, _rollout, _warm_inputs
@@ -357,6 +358,94 @@ _DENSE_AND_CSR = pytest.mark.parametrize(
     "form", [np.asarray, sp.csr_matrix], ids=["dense", "csr"])
 
 
+def test_qp_working_set_skips_dependent_rows():
+    # row 4 = row 0 + row 1 (and b4 = b0 + b1) is implied by rows 0 and 1,
+    # so the optimum is that of rows 0-3.  Along a step that keeps rows 0 and
+    # 1 active, a4.p is roundoff, about 1e-12 at this scale: an absolute
+    # direction test let such rows block and enter the working set, which
+    # then lost rank (15 of 600 solves here)
+    rng = np.random.default_rng(0)
+    scale = 1e3
+    for _ in range(300):
+        n = int(rng.integers(2, 6))
+        B = rng.normal(size=(n, n))
+        H = B @ B.T + n * np.eye(n)
+        g = scale * rng.normal(0.0, 3.0, n)
+        A_in = scale * rng.normal(size=(4, n))
+        z0 = rng.normal(size=n)
+        b_in = A_in @ z0 - scale * rng.uniform(0.0, 1.0, 4)
+        want = _enumerated_qp_optimum(H, g, np.zeros((0, n)), np.zeros(0),
+                                      A_in, b_in)
+        A_in = np.vstack([A_in, A_in[0] + A_in[1]])
+        b_in = np.append(b_in, b_in[0] + b_in[1])
+        for form in (np.asarray, sp.csr_matrix):
+            res = solve_qp(form(H), g, None, None, form(A_in), b_in, z0)
+            assert res.status == "optimal"
+            rows = list(res.working_set)
+            assert np.linalg.matrix_rank(A_in[rows]) == len(rows)
+            np.testing.assert_allclose(res.z, want, rtol=0, atol=1e-8 * scale)
+
+
+def _count_kkt_work(monkeypatch):
+    """Live counts of KKT backsolves, factorizations and working-set adds."""
+    counts = dict.fromkeys(("solve", "_factor", "add"), 0)
+    for name in counts:
+        def counted(self, *args, _name=name,
+                    _method=getattr(qp._BaseKkt, name)):
+            counts[_name] += 1
+            return _method(self, *args)
+        monkeypatch.setattr(qp._BaseKkt, name, counted)
+    return counts
+
+
+@_DENSE_AND_CSR
+def test_qp_backsolves_once_per_factorization_and_added_row(form,
+                                                            monkeypatch):
+    # the random QPs of test_qp_matches_enumerated_active_sets; some of them
+    # drop rows and add them back, and every add costs one backsolve
+    counts = _count_kkt_work(monkeypatch)
+    rng = np.random.default_rng(41)
+    readded = 0
+    for _ in range(100):
+        n = int(rng.integers(2, 6))
+        m = int(rng.integers(2, 7))
+        B = rng.normal(size=(n, n))
+        H = B @ B.T + n * np.eye(n)
+        A_in = rng.normal(size=(m, n))
+        A_eq = rng.normal(size=(1, n))
+        z0 = rng.normal(size=n)
+        b_in = A_in @ z0 - rng.uniform(0.0, 1.0, m)
+        before = dict(counts)
+        res = solve_qp(form(H), rng.normal(0.0, 3.0, n), form(A_eq),
+                       A_eq @ z0, form(A_in), b_in, z0)
+        assert res.status == "optimal"
+        work = {k: counts[k] - before[k] for k in counts}
+        assert work["_factor"] == 1  # no regularization step
+        assert work["solve"] == 1 + work["add"]
+        readded += work["add"] > len(res.working_set)
+    assert readded  # the corpus exercises drops
+
+
+@_DENSE_AND_CSR
+def test_qp_large_working_set_matches_projection(form, monkeypatch):
+    # 160 of 200 coordinates end on a bound, one add per iteration, so the
+    # working arrays outgrow their first capacity several times
+    rng = np.random.default_rng(3)
+    n, n_out = 200, 160
+    d = rng.uniform(0.5, 3.0, n)
+    target = rng.uniform(-0.9, 0.9, n)
+    out = rng.permutation(n)[:n_out]
+    target[out] = rng.choice([-1.0, 1.0], n_out) * rng.uniform(1.5, 3.0, n_out)
+    A_in = np.vstack([np.eye(n), -np.eye(n)])
+    counts = _count_kkt_work(monkeypatch)
+    res = solve_qp(form(np.diag(2.0 * d)), -2.0 * d * target, None, None,
+                   form(A_in), np.full(2 * n, -1.0), np.zeros(n))
+    assert res.status == "optimal"
+    np.testing.assert_allclose(res.z, np.clip(target, -1.0, 1.0), atol=1e-8)
+    assert len(res.working_set) == n_out
+    assert counts == {"solve": 1 + n_out, "_factor": 1, "add": n_out}
+
+
 @_DENSE_AND_CSR
 def test_make_feasible_repairs_marked_rows(form):
     A_in = np.array([[1.0, 0.0], [0.0, 1.0]])
@@ -570,6 +659,20 @@ def constrained_case(model):
     T_ref = Pose(rotation=fk[-1].rotation.copy(),
                  translation=fk[-1].translation + np.array([-0.3, 0.45, 0.0]))
     return np.concatenate([q0, np.zeros(2)]), T_ref, obs
+
+
+@pytest.mark.parametrize("method", ["multiple", "single"])
+@pytest.mark.parametrize("N", [20, 50])
+def test_cold_solve_of_the_probe_scene_finishes(panda7, N, method):
+    # the probe scene with no warm start: panda7 at rest at the probe q0,
+    # the 0.08 m sphere, the reference's first pose
+    x0 = np.concatenate([[0.0, -0.3, 0.0, -2.0, 0.0, 1.8, 0.7], np.zeros(7)])
+    T_ref = Pose.from_rpy([0.45, 0.0, 0.45], [np.pi, 0.0, 0.0])
+    cfg = MpcConfig(horizon=N, method=method)
+    _, sol = solve_once(panda7, cfg, x0, T_ref,
+                        (ball([0.45, 0.15, 0.55], radius=0.08),))
+    assert sol.status == "optimal"
+    assert sol.iterations < cfg.max_iters
 
 
 def test_distance_constraint_enforced(planar2r):

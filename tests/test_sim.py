@@ -1,20 +1,20 @@
 """Golden closed-loop runs: two short panda7 scenarios whose logs must stay
 byte-identical.
 
-The hashes were recorded on commit 9345963, which replaced the
-central-difference ``mdot_qd`` and ``jacobian_dot_qd`` with the exact terms.
-The previous hashes (push ``e3c79847...``/``33707ceb...``, noise
-``b415b96b...``/``03eea260...``) were recorded on ff9251c and still hold on
-c483c8e, whose speedups are bitwise.  They changed because the exact terms
-differ from the differences by their truncation error: over these runs the
-logged torques move by at most 3.1e-10 N m, the torque estimate by at most
-1.4e-11 N m and the joint angles by at most 1.4e-13 rad; the mode timeline,
-the detections and the minimum clearance are unchanged, and the noisy run's
-``solves.csv`` is byte-identical.  The two golden tests use only
+The hashes were recorded on the commit after aef4729 that rewrote the
+active-set bookkeeping of ``planner/qp.py`` (the step from a per-factorization
+equality minimizer, cached working rows, a grown Schur complement and a
+relative direction test).  The previous hashes (push ``8782efb2...``/
+``5bd0ab42...``, noise ``1da0ff2f...``/``03eea260...``) were recorded on
+9345963 and still hold on aef4729.  They changed by roundoff only: over both
+runs the logged torques move by at most 3.2e-12 N m, the torque estimate by
+at most 1.8e-14 N m, the joint angles by at most 1.3e-14 rad and the plan
+cost by at most 2.4e-13; the QP iteration counts, the mode timeline and the
+detections are unchanged.  The two golden tests use only
 ``scenario_from_dict`` and ``sim.run``, so they run unchanged against older
 commits, where they report the previous hashes::
 
-    git clone <repo> parent && git -C parent checkout c483c8e
+    git clone <repo> parent && git -C parent checkout aef4729
     PYTHONPATH=parent/src python -m pytest -q tests/test_sim.py -k golden
 
 A refactor that changes no arithmetic must leave them unchanged; a change that
@@ -59,11 +59,11 @@ NOISE = dict(_BASE, name="golden-noise", duration=0.1, seed=7,
 
 GOLDEN = {
     "golden-push": (
-        "8782efb27641ef0526f316afd55154cfa280275e01c1b1352e2cc1805bd8fdf3",
-        "5bd0ab423ceedd912074beb4b09dfba38800eb3a0add9348220edd0151745d59"),
+        "f092b18f6a47d1853daed2dbe990fc1f73f1eb366e9e24d91e363c680df12c81",
+        "aee1c249bae5ba38a88909881b47d4cf6462135b3c3217288a4ffbd81dd35eb9"),
     "golden-noise": (
-        "1da0ff2f798a3afbf687589f5b5f711cbe98ae66034a3b19a18b763da70bd560",
-        "03eea2603bdf3ebaf101c4aaa8fa3394daea8369997600433ef81759e98b9f82"),
+        "8ec04358f1f82186916c14f181e3c49ebc6093d3e28889d66eb525e79a074051",
+        "8b94c6c49fdd51e5a2dc3fa744357d9e7927f90d01a400496f3665319ef2960e"),
 }
 
 

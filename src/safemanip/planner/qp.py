@@ -168,8 +168,11 @@ class _BaseKkt:
             ok = np.all(np.isfinite(x))
             lam = np.zeros(0)
             if ok and k:
-                lam = _schur_solve(self.S[:k, :k], C @ x[:nz])
-                ok = lam is not None
+                try:
+                    lam = np.linalg.solve(self.S[:k, :k], C @ x[:nz])
+                    ok = np.all(np.isfinite(lam))
+                except np.linalg.LinAlgError:
+                    ok = False
                 if ok:
                     x -= Y.T @ lam
             if ok:
@@ -181,20 +184,6 @@ class _BaseKkt:
                     return x[:nz], -lam
             if not self._advance():
                 return None
-
-
-def _schur_solve(S, rhs):
-    """Small dense solve with a deterministic fallback for degenerate
-    working sets (nearly parallel rows)."""
-    scale = float(np.abs(np.diag(S)).max(initial=0.0)) or 1.0
-    for reg in (0.0, 1e-12, 1e-8):
-        try:
-            lam = np.linalg.solve(S + reg * scale * np.eye(S.shape[0]), rhs)
-        except np.linalg.LinAlgError:
-            continue
-        if np.all(np.isfinite(lam)):
-            return lam
-    return None
 
 
 def _dense_row(A, j: int, n: int):

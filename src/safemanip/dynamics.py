@@ -11,9 +11,9 @@ over the links (the CRBA derivative with ``Sdot_j = v_j x S_j`` and
 Algorithms*, 2008; Echeandia & Wensing, arXiv:2010.01033).  The estimator
 evaluates the momentum drift ``-C^T qd + g`` as ``bias - mdot_qd``.
 ``jacobian_dot_qd`` is the velocity-product acceleration of the end-effector
-frame, the forward pass with ``qdd = 0``.  The Christoffel-form
-``coriolis_matrix`` is built from central differences of M instead; it is
-independent of that analytic code and is the oracle of the tests.
+frame, the forward pass with ``qdd = 0``.  The tests check these terms
+against a Christoffel-form C(q, qd) built from central differences of M,
+which is independent of this analytic code.
 
 Per-state convention: ``mass_matrix``, ``inverse_dynamics``, ``bias_forces``,
 ``gravity_torque``, ``mdot_qd`` and ``jacobian_dot_qd`` take the
@@ -41,8 +41,6 @@ import numpy as np
 
 from .model import Frames, RobotModel, forward_kinematics
 from .se3 import cross3, hat
-
-_FD_STEP = 1e-6
 
 
 @dataclass(frozen=True)
@@ -175,30 +173,6 @@ class KinState:
         frames = forward_kinematics(model, q)
         return cls(q=q, qd=qd, frames=frames, M=mass_matrix(model, frames),
                    bias=bias_forces(model, frames, qd))
-
-
-def _mass_matrix_gradient(model: RobotModel, q: np.ndarray) -> np.ndarray:
-    """dM[k] = dM/dq_k by central differences."""
-    q = np.asarray(q, dtype=float).reshape(-1)
-    n = model.n
-    dM = np.empty((n, n, n))
-    for k in range(n):
-        e = np.zeros(n)
-        e[k] = _FD_STEP
-        dM[k] = (mass_matrix(model, forward_kinematics(model, q + e))
-                 - mass_matrix(model, forward_kinematics(model, q - e))) / (2 * _FD_STEP)
-    return dM
-
-
-def coriolis_matrix(model: RobotModel, q, qd) -> np.ndarray:
-    """Christoffel-form C(q, qd) with C qd equal to the RNEA velocity bias and
-    (Mdot - 2C) skew-symmetric."""
-    qd = np.asarray(qd, dtype=float).reshape(-1)
-    dM = _mass_matrix_gradient(model, q)
-    mdot = np.einsum("kij,k->ij", dM, qd)
-    t2 = np.einsum("jik,k->ij", dM, qd)
-    t3 = np.einsum("ijk,k->ij", dM, qd)
-    return 0.5 * (mdot + t2 - t3)
 
 
 def mdot_qd(model: RobotModel, frames: Frames, qd) -> np.ndarray:

@@ -66,9 +66,6 @@ class Obstacle:
     pose: Pose = field(default_factory=Pose.identity)
     name: str = ""
 
-    def at(self, pose: Pose) -> "Obstacle":
-        return replace(self, pose=pose)
-
 
 @dataclass(frozen=True)
 class DistanceResult:

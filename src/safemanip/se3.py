@@ -120,11 +120,6 @@ class Pose:
     def apply(self, point: np.ndarray) -> np.ndarray:
         return self.rotation @ np.asarray(point, dtype=float) + self.translation
 
-    def is_valid(self, tol: float = 1e-9) -> bool:
-        R = self.rotation
-        return (np.abs(R.T @ R - np.eye(3)).max() < tol
-                and abs(np.linalg.det(R) - 1.0) < tol)
-
 
 def se3_exp(xi: np.ndarray) -> Pose:
     """Exponential of an angular-first twist."""

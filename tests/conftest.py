@@ -6,6 +6,13 @@ import pytest
 from safemanip.robots import load_robot
 
 
+def is_rigid_transform(T, tol):
+    """Whether a Pose's rotation is orthonormal with determinant +1."""
+    R = T.rotation
+    return (np.abs(R.T @ R - np.eye(3)).max() < tol
+            and abs(np.linalg.det(R) - 1.0) < tol)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)

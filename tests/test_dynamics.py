@@ -4,7 +4,6 @@ import pytest
 from safemanip.dynamics import (
     KinState,
     bias_forces,
-    coriolis_matrix,
     forward_dynamics,
     gravity_torque,
     inverse_dynamics,
@@ -18,6 +17,34 @@ from safemanip.model import body_jacobian, forward_kinematics
 from safemanip.robots import robot_from_dict
 from safemanip.se3 import cross3
 from safemanip.sim import rk4_step
+
+
+_FD_STEP = 1e-6
+
+
+def _mass_matrix_gradient(model, q):
+    """dM[k] = dM/dq_k by central differences."""
+    q = np.asarray(q, dtype=float).reshape(-1)
+    n = model.n
+    dM = np.empty((n, n, n))
+    for k in range(n):
+        e = np.zeros(n)
+        e[k] = _FD_STEP
+        dM[k] = (mass_matrix(model, forward_kinematics(model, q + e))
+                 - mass_matrix(model, forward_kinematics(model, q - e))) / (2 * _FD_STEP)
+    return dM
+
+
+def coriolis_matrix(model, q, qd):
+    """Christoffel-form C(q, qd) from central differences of M, independent
+    of the analytic RNEA and Mdot code it checks: C qd equals the velocity
+    bias and (Mdot - 2C) is skew-symmetric."""
+    qd = np.asarray(qd, dtype=float).reshape(-1)
+    dM = _mass_matrix_gradient(model, q)
+    mdot = np.einsum("kij,k->ij", dM, qd)
+    t2 = np.einsum("jik,k->ij", dM, qd)
+    t3 = np.einsum("ijk,k->ij", dM, qd)
+    return 0.5 * (mdot + t2 - t3)
 
 
 def ee_task_dynamics(model, q, qd):

@@ -190,7 +190,8 @@ def test_closest_pair_per_link_panda(panda7, rng):
 
 def test_closest_pair_tie_breaks_to_lower_obstacle_index(planar2r):
     dup = Obstacle(Sphere(0.1), at([1.5, 0.5, 0.0]))
-    sweep = closest_pair_per_link(planar2r, np.zeros(2), [dup, dup.at(dup.pose)])
+    sweep = closest_pair_per_link(planar2r, np.zeros(2),
+                                  [dup, Obstacle(dup.shape, dup.pose)])
     for res in sweep.results:
         assert res.obstacle_index == 0
 

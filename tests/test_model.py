@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import is_rigid_transform
 from safemanip.model import (
     AUTO_DAMPING,
     body_jacobian,
@@ -54,7 +55,7 @@ def test_fk_returns_n_plus_one_valid_poses(panda7, rng):
         frames = forward_kinematics(panda7, q)
         assert len(frames) == 8
         for T in frames:
-            assert T.is_valid(tol=1e-9)
+            assert is_rigid_transform(T, tol=1e-9)
 
 
 @pytest.mark.parametrize("robot_name", ["planar3r", "panda7"])

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import is_rigid_transform
 from safemanip.se3 import (
     ANGULAR,
     LINEAR,
@@ -64,7 +65,7 @@ def test_se3_exp_log_roundtrip():
         if wn > 3.1:
             xi[ANGULAR] *= 3.1 / wn
         T = se3_exp(xi)
-        assert T.is_valid(tol=1e-10)
+        assert is_rigid_transform(T, tol=1e-10)
         np.testing.assert_allclose(se3_log(T), xi, atol=1e-8)
 
 

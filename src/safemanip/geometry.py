@@ -3,7 +3,10 @@
 Primitives are spheres and capsules; both reduce to a point/segment core plus
 a radius, so every query is an exact segment-segment problem with closed-form
 witness points.  Boxes are covered by a capsule set at load time
-(:func:`box_capsules`).
+(:func:`box_capsules`).  One kernel, :func:`_segment_closest_points`, solves
+those problems for pairs stacked along leading axes.  :func:`min_distance` is
+that kernel on one pair; :func:`closest_pair_per_link` places each body's and
+each obstacle's core once and solves every body-obstacle pair in one call.
 
 Sign and direction conventions:
   * ``distance`` is the surface separation; it goes negative on penetration
@@ -16,12 +19,12 @@ Sign and direction conventions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .model import CollisionBody, RobotModel, forward_kinematics, point_jacobian_world
+from .model import RobotModel, forward_kinematics, point_jacobian_world
 from .se3 import Pose, cross3
 
 _DEGENERATE_AXIS = np.array([0.0, 0.0, 1.0])
@@ -88,42 +91,47 @@ def _core_segment(shape, pose: Pose):
     raise TypeError(f"unsupported primitive {type(shape).__name__}")
 
 
+def _dot(u, v):
+    """Dot products over the last axis, summed in one fixed order, so a
+    pair's value does not depend on the batch it is solved in."""
+    return u[..., 0] * v[..., 0] + u[..., 1] * v[..., 1] + u[..., 2] * v[..., 2]
+
+
 def _segment_closest_points(p1, q1, p2, q2):
     """Closest points between segments [p1,q1] and [p2,q2] (Ericson 5.1.9).
 
-    Only a core of exactly zero length counts as a point; a short core is
-    still a segment, since taking it as its start point overstates the
-    distance by up to its length.  Nearly parallel pairs go to
+    The end points broadcast as ``(..., 3)`` arrays, one pair per leading
+    index.  Only a core of exactly zero length counts as a point; a short
+    core is still a segment, since taking it as its start point overstates
+    the distance by up to its length.  Nearly parallel pairs go to
     :func:`_nearly_parallel_closest_points`.
     """
+    p1, q1, p2, q2 = np.broadcast_arrays(p1, q1, p2, q2)
     d1 = q1 - p1
     d2 = q2 - p2
     r = p1 - p2
-    a = d1 @ d1
-    e = d2 @ d2
-    f = d2 @ r
-    if a == 0.0 and e == 0.0:
-        return p1, p2
-    if a == 0.0:
-        t = np.clip(f / e, 0.0, 1.0)
-        return p1, p2 + t * d2
-    c = d1 @ r
-    if e == 0.0:
-        s = np.clip(-c / a, 0.0, 1.0)
-        return p1 + s * d1, p2
-    b = d1 @ d2
+    a = _dot(d1, d1)
+    e = _dot(d2, d2)
+    f = _dot(d2, r)
+    c = _dot(d1, r)
+    b = _dot(d1, d2)
     denom = a * e - b * b
-    if denom <= _CORE_EPS * a * e:
-        return _nearly_parallel_closest_points(p1, q1, p2, q2)
-    s = np.clip((b * f - c * e) / denom, 0.0, 1.0)
-    t = (b * s + f) / e
-    if t < 0.0:
-        t = 0.0
-        s = np.clip(-c / a, 0.0, 1.0)
-    elif t > 1.0:
-        t = 1.0
-        s = np.clip((b - c) / a, 0.0, 1.0)
-    return p1 + s * d1, p2 + t * d2
+    # a point core divides by zero below; the selections discard those values
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = np.clip((b * f - c * e) / denom, 0.0, 1.0)
+        t = (b * s + f) / e
+        s_end = np.clip(-c / a, 0.0, 1.0)
+        s = np.where(t < 0.0, s_end,
+                     np.where(t > 1.0, np.clip((b - c) / a, 0.0, 1.0), s))
+        t = np.clip(t, 0.0, 1.0)
+        s = np.where(a == 0.0, 0.0, np.where(e == 0.0, s_end, s))
+        t = np.where(e == 0.0, 0.0, np.where(a == 0.0, np.clip(f / e, 0.0, 1.0), t))
+    c1 = p1 + s[..., None] * d1
+    c2 = p2 + t[..., None] * d2
+    parallel = (a > 0.0) & (e > 0.0) & (denom <= _CORE_EPS * a * e)
+    for i in map(tuple, np.argwhere(parallel)):
+        c1[i], c2[i] = _nearly_parallel_closest_points(p1[i], q1[i], p2[i], q2[i])
+    return c1, c2
 
 
 def _nearly_parallel_closest_points(p1, q1, p2, q2):
@@ -151,6 +159,16 @@ def _nearly_parallel_closest_points(p1, q1, p2, q2):
     return min(pairs, key=lambda pair: float(np.linalg.norm(pair[0] - pair[1])))
 
 
+def _result(ca, cb, ra: float, rb: float, **ids) -> DistanceResult:
+    """Surface distance, witnesses and escape normal of one pair from the
+    closest points of its cores."""
+    delta = ca - cb
+    core = float(np.sqrt(_dot(delta, delta)))
+    normal = delta / core if core > _CORE_EPS else _DEGENERATE_AXIS.copy()
+    return DistanceResult(distance=core - ra - rb, p_robot=ca - ra * normal,
+                          p_obstacle=cb + rb * normal, normal=normal, **ids)
+
+
 def min_distance(shape_a, pose_a: Pose, shape_b, pose_b: Pose) -> DistanceResult:
     """Exact minimum distance between two placed primitives.
 
@@ -160,27 +178,7 @@ def min_distance(shape_a, pose_a: Pose, shape_b, pose_b: Pose) -> DistanceResult
     """
     a0, a1, ra = _core_segment(shape_a, pose_a)
     b0, b1, rb = _core_segment(shape_b, pose_b)
-    ca, cb = _segment_closest_points(a0, a1, b0, b1)
-    delta = ca - cb
-    core = float(np.linalg.norm(delta))
-    normal = delta / core if core > _CORE_EPS else _DEGENERATE_AXIS.copy()
-    return DistanceResult(
-        distance=core - ra - rb,
-        p_robot=ca - ra * normal,
-        p_obstacle=cb + rb * normal,
-        normal=normal,
-        link=-1,
-    )
-
-
-def body_obstacle_distance(model: RobotModel, frames: Sequence[Pose],
-                           body: CollisionBody, obstacle: Obstacle,
-                           body_index: int = -1,
-                           obstacle_index: int = -1) -> DistanceResult:
-    world_pose = frames[body.link] @ body.local
-    res = min_distance(body.shape, world_pose, obstacle.shape, obstacle.pose)
-    return replace(res, link=body.link, body_index=body_index,
-                   obstacle_index=obstacle_index)
+    return _result(*_segment_closest_points(a0, a1, b0, b1), ra, rb, link=-1)
 
 
 @dataclass(frozen=True)
@@ -204,22 +202,23 @@ def closest_pair_per_link(model: RobotModel, q, obstacles: Sequence[Obstacle],
     """Closest obstacle per collision body (ties go to the lower obstacle
     index), ordered by body; the global minimum is flagged by index.
     ``fk`` passes the frames at ``q`` when the caller already holds them."""
-    if not obstacles:
+    bodies = model.collision_bodies
+    if not obstacles or not bodies:
         return DistanceSweep(results=(), min_index=None)
     frames = fk if fk is not None else forward_kinematics(model, q)
-    per_body = []
-    for bi, body in enumerate(model.collision_bodies):
-        best = None
-        for oi, obstacle in enumerate(obstacles):
-            res = body_obstacle_distance(model, frames, body, obstacle,
-                                         body_index=bi, obstacle_index=oi)
-            if best is None or res.distance < best.distance:
-                best = res
-        per_body.append(best)
-    if not per_body:
-        return DistanceSweep(results=(), min_index=None)
-    dists = [r.distance for r in per_body]
-    return DistanceSweep(results=tuple(per_body), min_index=int(np.argmin(dists)))
+    a0, a1, ra = zip(*(_core_segment(body.shape, frames[body.link] @ body.local)
+                       for body in bodies))
+    b0, b1, rb = zip(*(_core_segment(o.shape, o.pose) for o in obstacles))
+    ca, cb = _segment_closest_points(np.array(a0)[:, None], np.array(a1)[:, None],
+                                     np.array(b0), np.array(b1))
+    delta = ca - cb
+    dist = np.sqrt(_dot(delta, delta)) - np.array(ra)[:, None] - np.array(rb)
+    per_body = tuple(
+        _result(ca[bi, oi], cb[bi, oi], ra[bi], rb[oi], link=body.link,
+                body_index=bi, obstacle_index=oi)
+        for bi, (body, oi) in enumerate(zip(bodies, np.argmin(dist, axis=1).tolist())))
+    return DistanceSweep(results=per_body,
+                         min_index=int(np.argmin([r.distance for r in per_body])))
 
 
 def distance_gradient(model: RobotModel, frames: Sequence[Pose],

@@ -51,33 +51,40 @@ def so3_exp(w: np.ndarray) -> np.ndarray:
 def so3_log(R: np.ndarray) -> np.ndarray:
     """Principal-branch rotation vector of R, angle in [0, pi].
 
-    The angle-pi case is resolved through the largest diagonal entry of
-    R + I, which stays well conditioned where the sin-based formula fails.
+    The angle is ``atan2(sin, cos)`` of the skew part ``vee(R - R')/2 =
+    sin(theta) axis`` and the trace, which keeps its digits at both ends of
+    the range, where ``arccos`` of the trace loses them.  Past pi/2 the axis
+    comes from the symmetric part ``R + R' - 2 cos(theta) I = 2 (1 -
+    cos(theta)) axis axis'``, which stays well conditioned up to pi, and only
+    its sign from the skew part.
     """
-    tr = np.clip((np.trace(R) - 1.0) * 0.5, -1.0, 1.0)
-    theta = np.arccos(tr)
-    if theta < 1e-8:
-        return vee(R - R.T) * 0.5
-    if theta > np.pi - 1e-6:
-        # axis from the dominant column of R + I
-        A = R + np.eye(3)
-        k = int(np.argmax(np.diag(A)))
-        axis = A[:, k] / np.linalg.norm(A[:, k])
-        w = axis * theta
-        # fix the sign so exp(w) reproduces R's off-diagonal skew part
-        if np.linalg.norm(vee(R - R.T) * 0.5 - axis * np.sin(theta)) > \
-           np.linalg.norm(vee(R - R.T) * 0.5 + axis * np.sin(theta)):
-            w = -w
-        return w
-    return vee(R - R.T) * (0.5 * theta / np.sin(theta))
+    s = vee(R - R.T) * 0.5
+    sin_t = float(np.linalg.norm(s))
+    cos_t = (np.trace(R) - 1.0) * 0.5
+    theta = np.arctan2(sin_t, cos_t)
+    if cos_t >= 0.0:
+        return s * (theta / sin_t) if sin_t > 0.0 else s
+    B = R + R.T - (2.0 * cos_t) * np.eye(3)
+    k = int(np.argmax(np.diag(B)))
+    axis = B[:, k] / np.linalg.norm(B[:, k])
+    return axis * theta if axis @ s >= 0.0 else axis * -theta
 
 
 def _left_jacobian_inv(w: np.ndarray) -> np.ndarray:
+    """Inverse left Jacobian of SO(3), ``I - W/2 + c W^2``.
+
+    ``c = (1 - theta sin(theta) / (2 (1 - cos(theta)))) / theta^2`` loses
+    about ``eps / theta^4`` to cancellation as theta goes to 0; below 0.1 rad
+    the series ``1/12 + theta^2/720 + theta^4/30240`` is used, whose first
+    omitted term is ``theta^6 / 1209600``.
+    """
     theta = np.linalg.norm(w)
     W = hat(w)
-    if theta < 1e-8:
-        return np.eye(3) - 0.5 * W + (W @ W) / 12.0
-    c = (1.0 - (theta * np.sin(theta)) / (2.0 * (1.0 - np.cos(theta)))) / theta ** 2
+    if theta < 0.1:
+        t2 = theta * theta
+        c = 1.0 / 12.0 + t2 / 720.0 + t2 * t2 / 30240.0
+    else:
+        c = (1.0 - (theta * np.sin(theta)) / (2.0 * (1.0 - np.cos(theta)))) / theta ** 2
     return np.eye(3) - 0.5 * W + c * (W @ W)
 
 

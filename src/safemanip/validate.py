@@ -256,14 +256,12 @@ def check_distance_gradients(models=None, n_cases: int = 25, seed: int = 0,
             grad = geometry.distance_gradient(
                 m, model_mod.forward_kinematics(m, q), best)
             grad_fd = np.empty(m.n)
-            body = m.collision_bodies[best.body_index]
+            bi = best.body_index
             for j in range(m.n):
                 e = np.zeros(m.n)
                 e[j] = h
-                dp = geometry.body_obstacle_distance(
-                    m, model_mod.forward_kinematics(m, q + e), body, obs)
-                dm = geometry.body_obstacle_distance(
-                    m, model_mod.forward_kinematics(m, q - e), body, obs)
+                dp = geometry.closest_pair_per_link(m, q + e, [obs]).results[bi]
+                dm = geometry.closest_pair_per_link(m, q - e, [obs]).results[bi]
                 grad_fd[j] = (dp.distance - dm.distance) / (2 * h)
             err = np.abs(grad - grad_fd).max()
             res.check(err <= tol, f"{m.name}: distance grad error {err:.2e}")

@@ -86,6 +86,51 @@ def test_segment_closest_points_beat_dense_sampling(p1, q1, p2, q2):
             <= _sampled_segment_distance(p1, q1, p2, q2) + 1e-12)
 
 
+def test_batched_kernel_rows_match_single_pairs_and_the_sweep(panda7):
+    rng = np.random.default_rng(7)
+    p1, q1, p2, q2 = rng.uniform(-1.0, 1.0, (4, 300, 3))
+    q1[:20] = p1[:20]        # point cores: 0-9 point-segment, 10-19 point-point
+    q2[10:30] = p2[10:30]    # 20-29 segment-point
+    # 30-79: segment 2 turned 1e-12 to 2.5e-5 rad off segment 1's direction
+    for i, angle in zip(range(30, 80), np.geomspace(1e-12, 2.5e-5, 50)):
+        d = q1[i] - p1[i]
+        side = np.cross(d, rng.standard_normal(3))
+        side *= np.linalg.norm(d) / np.linalg.norm(side)
+        q2[i] = p2[i] + rng.uniform(0.2, 2.0) * (np.cos(angle) * d
+                                                 + np.sin(angle) * side)
+    c1, c2 = _segment_closest_points(p1, q1, p2, q2)
+    for i in range(len(p1)):
+        a1, a2 = _segment_closest_points(p1[i], q1[i], p2[i], q2[i])
+        assert c1[i].tobytes() == a1.tobytes() and c2[i].tobytes() == a2.tobytes()
+        assert (np.linalg.norm(c1[i] - c2[i]) <= _sampled_segment_distance(
+            p1[i], q1[i], p2[i], q2[i]) + 1e-12)
+
+    # the plan_* scene: a sphere, a shelf box (8 capsules) and a bar
+    obstacles = [Obstacle(Sphere(0.08), at([0.45, 0.15, 0.55])),
+                 *(Obstacle(cap, at([0.55, -0.05, 0.15]))
+                   for cap in box_capsules([0.3, 0.6, 0.04])),
+                 Obstacle(Capsule(0.02, [0.0, -0.25, 0.0], [0.0, 0.25, 0.0]),
+                          at([0.15, 0.0, 0.95]))]
+    assert len(obstacles) == 10
+    q0 = np.array([0.0, -0.3, 0.0, -2.0, 0.0, 1.8, 0.7])
+    for q in [q0, *(q0 + rng.uniform(-0.8, 0.8, (10, 7)))]:
+        frames = forward_kinematics(panda7, q)
+        sweep = closest_pair_per_link(panda7, q, obstacles)
+        assert len(sweep.results) == len(panda7.collision_bodies)
+        for bi, (body, res) in enumerate(zip(panda7.collision_bodies,
+                                             sweep.results)):
+            pairs = [min_distance(body.shape, frames[body.link] @ body.local,
+                                  o.shape, o.pose) for o in obstacles]
+            oi = int(np.argmin([pair.distance for pair in pairs]))
+            assert type(res.distance) is float
+            assert (res.link, res.body_index, res.obstacle_index) == (
+                body.link, bi, oi)
+            assert res.distance == pairs[oi].distance
+            for field in ("p_robot", "p_obstacle", "normal"):
+                np.testing.assert_array_equal(getattr(res, field),
+                                              getattr(pairs[oi], field))
+
+
 def test_segment_closest_points_short_core_is_a_segment():
     # a 3e-5 m core ends 1 - 3e-5 m from the other segment, not 1 m
     short = (np.zeros(3), np.array([3e-5, 0.0, 0.0]))

@@ -1,20 +1,22 @@
 """Golden closed-loop runs: two short panda7 scenarios whose logs must stay
 byte-identical.
 
-The hashes were recorded on the commit after aef4729 that rewrote the
-active-set bookkeeping of ``planner/qp.py`` (the step from a per-factorization
-equality minimizer, cached working rows, a grown Schur complement and a
-relative direction test).  The previous hashes (push ``8782efb2...``/
-``5bd0ab42...``, noise ``1da0ff2f...``/``03eea260...``) were recorded on
-9345963 and still hold on aef4729.  They changed by roundoff only: over both
-runs the logged torques move by at most 3.2e-12 N m, the torque estimate by
-at most 1.8e-14 N m, the joint angles by at most 1.3e-14 rad and the plan
-cost by at most 2.4e-13; the QP iteration counts, the mode timeline and the
-detections are unchanged.  The two golden tests use only
-``scenario_from_dict`` and ``sim.run``, so they run unchanged against older
-commits, where they report the previous hashes::
+The hashes were recorded on the commit after 587b8bd that fixed ``se3_log``
+near angles 0 and pi (``atan2`` angle, symmetric-part axis past pi/2, series
+inverse left Jacobian below 0.1 rad) and solved every body-obstacle pair of a
+distance sweep in one batched call of the closest-point kernel.  The previous
+hashes (push ``f092b18f...``/``aee1c249...``, noise ``8ec04358...``/
+``8b94c6c4...``) were recorded on the commit after aef4729 and still hold on
+587b8bd.  They changed by roundoff only: over both runs the logged torques
+move by at most 3.4e-10 N m (on the tick that enters CONTACT_SAFE), the
+torque estimate by at most 1.1e-14 N m, the joint angles by at most 3.6e-15
+rad, the logged distances by at most 1.4e-15 m and the plan cost by at most
+7.3e-14; the QP iteration counts, the mode timeline and the detections are
+unchanged.  The two golden tests use only ``scenario_from_dict`` and
+``sim.run``, so they run unchanged against older commits, where they report
+the previous hashes::
 
-    git clone <repo> parent && git -C parent checkout aef4729
+    git clone <repo> parent && git -C parent checkout 587b8bd
     PYTHONPATH=parent/src python -m pytest -q tests/test_sim.py -k golden
 
 A refactor that changes no arithmetic must leave them unchanged; a change that
@@ -59,11 +61,11 @@ NOISE = dict(_BASE, name="golden-noise", duration=0.1, seed=7,
 
 GOLDEN = {
     "golden-push": (
-        "f092b18f6a47d1853daed2dbe990fc1f73f1eb366e9e24d91e363c680df12c81",
-        "aee1c249bae5ba38a88909881b47d4cf6462135b3c3217288a4ffbd81dd35eb9"),
+        "50f3a7217826f489b3b8365b7f7ec12262c5dad5439bd2b843cc9819fc0ff070",
+        "b3f95bd1a390a7b992e24f69c2fcdcdd95131085ac3962109ccbf469a2c0a47c"),
     "golden-noise": (
-        "8ec04358f1f82186916c14f181e3c49ebc6093d3e28889d66eb525e79a074051",
-        "8b94c6c49fdd51e5a2dc3fa744357d9e7927f90d01a400496f3665319ef2960e"),
+        "4b3863bb6b58705aca3578ccf979f7d7065b3f6868c035963d6fd35a47c0dc70",
+        "82427575c50d165be31bfa600e4f305a1e5563c9f628eb79075177ff6d9d4d98"),
 }
 
 

@@ -84,8 +84,7 @@ class DistanceResult:
 def _core_segment(shape, pose: Pose):
     """World-frame (endpoint_a, endpoint_b, radius) of a primitive's core."""
     if isinstance(shape, Sphere):
-        c = pose.translation
-        return c, c, shape.radius
+        return pose.translation, pose.translation, shape.radius
     if isinstance(shape, Capsule):
         return pose.apply(shape.a), pose.apply(shape.b), shape.radius
     raise TypeError(f"unsupported primitive {type(shape).__name__}")
@@ -106,7 +105,6 @@ def _segment_closest_points(p1, q1, p2, q2):
     the distance by up to its length.  Nearly parallel pairs go to
     :func:`_nearly_parallel_closest_points`.
     """
-    p1, q1, p2, q2 = np.broadcast_arrays(p1, q1, p2, q2)
     d1 = q1 - p1
     d2 = q2 - p2
     r = p1 - p2
@@ -118,19 +116,19 @@ def _segment_closest_points(p1, q1, p2, q2):
     denom = a * e - b * b
     # a point core divides by zero below; the selections discard those values
     with np.errstate(divide="ignore", invalid="ignore"):
-        s = np.clip((b * f - c * e) / denom, 0.0, 1.0)
-        t = (b * s + f) / e
-        s_end = np.clip(-c / a, 0.0, 1.0)
-        s = np.where(t < 0.0, s_end,
-                     np.where(t > 1.0, np.clip((b - c) / a, 0.0, 1.0), s))
+        s = np.where(a == 0.0, 0.0, np.clip((b * f - c * e) / denom, 0.0, 1.0))
+        t = np.where(e == 0.0, 0.0, (b * s + f) / e)
+        s = np.where(a == 0.0, 0.0,
+                     np.where((t < 0.0) | (e == 0.0), np.clip(-c / a, 0.0, 1.0),
+                              np.where(t > 1.0, np.clip((b - c) / a, 0.0, 1.0), s)))
         t = np.clip(t, 0.0, 1.0)
-        s = np.where(a == 0.0, 0.0, np.where(e == 0.0, s_end, s))
-        t = np.where(e == 0.0, 0.0, np.where(a == 0.0, np.clip(f / e, 0.0, 1.0), t))
     c1 = p1 + s[..., None] * d1
     c2 = p2 + t[..., None] * d2
     parallel = (a > 0.0) & (e > 0.0) & (denom <= _CORE_EPS * a * e)
-    for i in map(tuple, np.argwhere(parallel)):
-        c1[i], c2[i] = _nearly_parallel_closest_points(p1[i], q1[i], p2[i], q2[i])
+    if parallel.any():
+        p1, q1, p2, q2 = np.broadcast_arrays(p1, q1, p2, q2)
+        for i in map(tuple, np.argwhere(parallel)):
+            c1[i], c2[i] = _nearly_parallel_closest_points(p1[i], q1[i], p2[i], q2[i])
     return c1, c2
 
 
@@ -159,14 +157,20 @@ def _nearly_parallel_closest_points(p1, q1, p2, q2):
     return min(pairs, key=lambda pair: float(np.linalg.norm(pair[0] - pair[1])))
 
 
-def _result(ca, cb, ra: float, rb: float, **ids) -> DistanceResult:
-    """Surface distance, witnesses and escape normal of one pair from the
-    closest points of its cores."""
+def _pairwise(cores_a, cores_b):
+    """Surface distance, witnesses and escape normal of every pair of two
+    lists of world cores ``(end, end, radius)``, as ``(len(a), len(b))``
+    arrays; the pairs are solved in one kernel call."""
+    a0, a1, ra = (np.array(x) for x in zip(*cores_a))
+    b0, b1, rb = (np.array(x) for x in zip(*cores_b))
+    ca, cb = _segment_closest_points(a0[:, None], a1[:, None], b0, b1)
     delta = ca - cb
-    core = float(np.sqrt(_dot(delta, delta)))
-    normal = delta / core if core > _CORE_EPS else _DEGENERATE_AXIS.copy()
-    return DistanceResult(distance=core - ra - rb, p_robot=ca - ra * normal,
-                          p_obstacle=cb + rb * normal, normal=normal, **ids)
+    core = np.sqrt(_dot(delta, delta))
+    apart = core > _CORE_EPS
+    normal = np.where(apart[..., None],
+                      delta / np.where(apart, core, 1.0)[..., None], _DEGENERATE_AXIS)
+    return (core - ra[:, None] - rb, ca - ra[:, None, None] * normal,
+            cb + rb[:, None] * normal, normal)
 
 
 def min_distance(shape_a, pose_a: Pose, shape_b, pose_b: Pose) -> DistanceResult:
@@ -176,9 +180,10 @@ def min_distance(shape_a, pose_a: Pose, shape_b, pose_b: Pose) -> DistanceResult
     the escape normal; see the module docstring for the penetration and
     degenerate-core conventions.
     """
-    a0, a1, ra = _core_segment(shape_a, pose_a)
-    b0, b1, rb = _core_segment(shape_b, pose_b)
-    return _result(*_segment_closest_points(a0, a1, b0, b1), ra, rb, link=-1)
+    d, p_robot, p_obstacle, normal = _pairwise([_core_segment(shape_a, pose_a)],
+                                               [_core_segment(shape_b, pose_b)])
+    return DistanceResult(float(d[0, 0]), p_robot[0, 0], p_obstacle[0, 0],
+                          normal[0, 0], link=-1)
 
 
 @dataclass(frozen=True)
@@ -206,17 +211,13 @@ def closest_pair_per_link(model: RobotModel, q, obstacles: Sequence[Obstacle],
     if not obstacles or not bodies:
         return DistanceSweep(results=(), min_index=None)
     frames = fk if fk is not None else forward_kinematics(model, q)
-    a0, a1, ra = zip(*(_core_segment(body.shape, frames[body.link] @ body.local)
-                       for body in bodies))
-    b0, b1, rb = zip(*(_core_segment(o.shape, o.pose) for o in obstacles))
-    ca, cb = _segment_closest_points(np.array(a0)[:, None], np.array(a1)[:, None],
-                                     np.array(b0), np.array(b1))
-    delta = ca - cb
-    dist = np.sqrt(_dot(delta, delta)) - np.array(ra)[:, None] - np.array(rb)
+    d, p_robot, p_obstacle, normal = _pairwise(
+        [_core_segment(body.shape, frames[body.link] @ body.local) for body in bodies],
+        [_core_segment(o.shape, o.pose) for o in obstacles])
     per_body = tuple(
-        _result(ca[bi, oi], cb[bi, oi], ra[bi], rb[oi], link=body.link,
-                body_index=bi, obstacle_index=oi)
-        for bi, (body, oi) in enumerate(zip(bodies, np.argmin(dist, axis=1).tolist())))
+        DistanceResult(float(d[bi, oi]), p_robot[bi, oi], p_obstacle[bi, oi],
+                       normal[bi, oi], body.link, bi, oi)
+        for bi, (body, oi) in enumerate(zip(bodies, np.argmin(d, axis=1).tolist())))
     return DistanceSweep(results=per_body,
                          min_index=int(np.argmin([r.distance for r in per_body])))
 

@@ -64,9 +64,10 @@ def so3_log(R: np.ndarray) -> np.ndarray:
     theta = np.arctan2(sin_t, cos_t)
     if cos_t >= 0.0:
         return s * (theta / sin_t) if sin_t > 0.0 else s
-    B = R + R.T - (2.0 * cos_t) * np.eye(3)
-    k = int(np.argmax(np.diag(B)))
-    axis = B[:, k] / np.linalg.norm(B[:, k])
+    k = int(np.argmax(np.diag(R)))  # the largest diagonal entry of the part
+    col = R[:, k] + R[k]
+    col[k] -= 2.0 * cos_t
+    axis = col / np.linalg.norm(col)
     return axis * theta if axis @ s >= 0.0 else axis * -theta
 
 

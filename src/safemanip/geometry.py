@@ -218,8 +218,7 @@ def closest_pair_per_link(model: RobotModel, q, obstacles: Sequence[Obstacle],
         DistanceResult(float(d[bi, oi]), p_robot[bi, oi], p_obstacle[bi, oi],
                        normal[bi, oi], body.link, bi, oi)
         for bi, (body, oi) in enumerate(zip(bodies, np.argmin(d, axis=1).tolist())))
-    return DistanceSweep(results=per_body,
-                         min_index=int(np.argmin([r.distance for r in per_body])))
+    return DistanceSweep(results=per_body, min_index=int(np.argmin(d.min(axis=1))))
 
 
 def distance_gradient(model: RobotModel, frames: Sequence[Pose],

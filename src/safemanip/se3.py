@@ -64,7 +64,7 @@ def so3_log(R: np.ndarray) -> np.ndarray:
     theta = np.arctan2(sin_t, cos_t)
     if cos_t >= 0.0:
         return s * (theta / sin_t) if sin_t > 0.0 else s
-    k = int(np.argmax(np.diag(R)))  # the largest diagonal entry of the part
+    k = int(np.argmax(np.diag(R)))  # the symmetric part peaks on the same entry
     col = R[:, k] + R[k]
     col[k] -= 2.0 * cos_t
     axis = col / np.linalg.norm(col)

@@ -126,9 +126,9 @@ def test_batched_kernel_rows_match_single_pairs_and_the_sweep(panda7):
             assert (res.link, res.body_index, res.obstacle_index) == (
                 body.link, bi, oi)
             assert res.distance == pairs[oi].distance
-            for field in ("p_robot", "p_obstacle", "normal"):
-                np.testing.assert_array_equal(getattr(res, field),
-                                              getattr(pairs[oi], field))
+            for name in ("p_robot", "p_obstacle", "normal"):
+                np.testing.assert_array_equal(getattr(res, name),
+                                              getattr(pairs[oi], name))
 
 
 def test_segment_closest_points_short_core_is_a_segment():

@@ -130,17 +130,28 @@ class Pose:
 
 
 def se3_exp(xi: np.ndarray) -> Pose:
-    """Exponential of an angular-first twist."""
+    """Exponential of an angular-first twist.
+
+    The translation is ``V v`` with ``V = I + a W + b W^2``.  The closed
+    forms ``a = (1 - cos(theta)) / theta^2`` and ``b = (theta - sin(theta)) /
+    theta^3`` lose about ``eps / theta^2`` to cancellation as theta goes to
+    0; below 1e-2 rad the series ``a = 1/2 - theta^2/24 + theta^4/720`` and
+    ``b = 1/6 - theta^2/120 + theta^4/5040`` are used, whose first omitted
+    terms are below 3e-17 there.
+    """
     xi = np.asarray(xi, dtype=float).reshape(6)
     w, v = xi[ANGULAR], xi[LINEAR]
     R = so3_exp(w)
     theta = np.linalg.norm(w)
-    if theta < 1e-8:
-        V = np.eye(3) + 0.5 * hat(w)
+    W = hat(w)
+    if theta < 1e-2:
+        t2 = theta * theta
+        a = 0.5 - t2 / 24.0 + t2 * t2 / 720.0
+        b = 1.0 / 6.0 - t2 / 120.0 + t2 * t2 / 5040.0
     else:
-        W = hat(w)
-        V = (np.eye(3) + (1.0 - np.cos(theta)) / theta ** 2 * W
-             + (theta - np.sin(theta)) / theta ** 3 * (W @ W))
+        a = (1.0 - np.cos(theta)) / theta ** 2
+        b = (theta - np.sin(theta)) / theta ** 3
+    V = np.eye(3) + a * W + b * (W @ W)
     return Pose(R, V @ v)
 
 

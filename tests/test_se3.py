@@ -82,28 +82,27 @@ def test_se3_log_inverts_exp_beyond_pi():
 
 @settings(derandomize=True, deadline=None)
 @given(st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3),
-       st.floats(1e-7, np.pi - 1e-12),
+       st.floats(1e-12, np.pi - 1e-12),
        st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3))
 def test_se3_log_inverts_exp_property(axis, angle, v):
-    # se3_log keeps its digits from 0 to pi.  The band stops at 1e-7 rad
-    # for se3_exp: between 1e-8 and 1e-7 rad cos(theta) lies within a few
-    # ulps of 1, so its (1 - cos(theta)) / theta^2 term can lose all its
-    # digits, up to theta |v| / 2 on the translation.  At pi itself the sign
-    # of the axis is a convention (test_so3_log_near_pi).
+    # se3_exp and se3_log both switch to series near 0, so the round trip
+    # keeps its digits over the whole band.  At pi itself the sign of the
+    # axis is a convention (test_so3_log_near_pi).
     axis = np.array(axis)
     assume(np.linalg.norm(axis) > 0.1)
     xi = np.concatenate([angle * axis / np.linalg.norm(axis), v])
-    np.testing.assert_allclose(se3_log(se3_exp(xi)), xi, atol=1e-8)
+    np.testing.assert_allclose(se3_log(se3_exp(xi)), xi, atol=1e-12)
 
 
 @pytest.mark.parametrize("xi", [
     [0.0, 0.0, 1e-8, 0.0, 0.0, 0.0],
+    [0.0, 0.0, 1e-8, 0.0, 1.0, 0.0],
     [0.0, 0.0, 1e-6, 0.0, 1.0, 0.0],
     [0.6 * (np.pi - 1e-5), 0.0, 0.8 * (np.pi - 1e-5), 0.0, 0.0, 0.0],
-], ids=["nan-at-1e-8", "1e-6", "pi-minus-1e-5"])
+], ids=["nan-at-1e-8", "1e-8-with-translation", "1e-6", "pi-minus-1e-5"])
 def test_se3_log_inverts_exp_near_0_and_pi(xi):
     xi = np.array(xi)
-    np.testing.assert_allclose(se3_log(se3_exp(xi)), xi, atol=1e-8)
+    np.testing.assert_allclose(se3_log(se3_exp(xi)), xi, atol=1e-12)
 
 
 def test_se3_exp_pure_translation():

@@ -4,7 +4,6 @@ Subcommands::
 
     safemanip run SCENARIO [-o DIR] [--set section.key=value ...]
     safemanip compare SCENARIO_A SCENARIO_B [-o DIR] [--set ...]
-    safemanip validate [-o DIR]
 
 Exit codes are a contract: 0 on success, 1 on configuration errors (bad
 paths, malformed scenario or robot files, bad overrides), 2 when the planner
@@ -17,7 +16,6 @@ import logging
 import sys
 from pathlib import Path
 
-from . import validate as validate_mod
 from .robots import InputFileError
 from .scenario import load_scenario
 from .sim import (SolverAbort, check_comparable, compare_runs, run,
@@ -58,10 +56,6 @@ def _build_parser() -> _Parser:
     p_cmp.add_argument("--set", dest="overrides", action="append",
                        default=[], metavar="KEY=VALUE",
                        help="override applied to both scenarios")
-
-    p_val = sub.add_parser("validate", help="run the model property suites")
-    p_val.add_argument("-o", "--output", default=None,
-                       help="also write the summary into this directory")
     return parser
 
 
@@ -121,17 +115,6 @@ def _cmd_compare(args) -> int:
     return code
 
 
-def _cmd_validate(args) -> int:
-    results = validate_mod.run_suites()
-    text = validate_mod.summarize(results) + "\n"
-    if args.output is not None:
-        out = Path(args.output)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "validate.txt").write_text(text)
-    print(text, end="")
-    return EXIT_OK if all(r.ok for r in results) else EXIT_CONFIG
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     level = (logging.WARNING, logging.INFO,
@@ -142,9 +125,7 @@ def main(argv=None) -> int:
     try:
         if args.command == "run":
             return _cmd_run(args)
-        if args.command == "compare":
-            return _cmd_compare(args)
-        return _cmd_validate(args)
+        return _cmd_compare(args)
     except InputFileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

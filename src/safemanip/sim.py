@@ -27,11 +27,11 @@ import logging
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
-from .controller import ControllerState, Mode, mode_step
+from .controller import ControllerState, mode_step
 from .dynamics import KinState, forward_dynamics
 # unused here; perfbench/test_perfbench.py checks its hook patches this binding
 from .dynamics import mass_matrix  # noqa: F401

@@ -34,5 +34,10 @@ def planar3r():
 
 
 @pytest.fixture(scope="session")
+def planar3r_gravity():
+    return load_robot("planar3r")
+
+
+@pytest.fixture(scope="session")
 def panda7():
     return load_robot("panda7")

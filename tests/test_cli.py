@@ -102,6 +102,13 @@ def test_unknown_subcommand_bench_exits_1(tmp_path):
     assert exc.value.code == EXIT_CONFIG
 
 
+def test_unknown_subcommand_validate_exits_1():
+    # the model property checks live in the test suite, not the CLI
+    with pytest.raises(SystemExit) as exc:
+        main(["validate"])
+    assert exc.value.code == EXIT_CONFIG
+
+
 def test_planner_abort_exits_2_and_still_writes_report(tmp_path):
     out = tmp_path / "out"
     code = main(["run", _scenario(tmp_path, ABORT), "-o", str(out)])

@@ -79,19 +79,39 @@ def test_planar2r_gravity_stretched(planar2r_gravity):
     np.testing.assert_allclose(g, [29.43, 9.81], atol=1e-9)
 
 
-@pytest.mark.parametrize("robot_name", ["planar2r_gravity", "panda7"])
+def gravity_fd_error(model, q, h=1e-6):
+    """Largest gap between the gravity torque and the central difference of
+    the potential energy."""
+    g = gravity_torque(model, forward_kinematics(model, q))
+    g_fd = np.empty(model.n)
+    for j in range(model.n):
+        dq = np.zeros(model.n)
+        dq[j] = h
+        g_fd[j] = (potential_energy(model, q + dq)
+                   - potential_energy(model, q - dq)) / (2 * h)
+    return float(np.abs(g - g_fd).max())
+
+
+@pytest.mark.parametrize("robot_name",
+                         ["planar2r_gravity", "planar3r_gravity", "panda7"])
 def test_gravity_is_potential_gradient(robot_name, request, rng):
     model = request.getfixturevalue(robot_name)
-    h = 1e-6
-    for _ in range(10):
-        q = rng.uniform(-1.2, 1.2, model.n)
-        g = gravity_torque(model, forward_kinematics(model, q))
-        for j in range(model.n):
-            dq = np.zeros(model.n)
-            dq[j] = h
-            dV = (potential_energy(model, q + dq)
-                  - potential_energy(model, q - dq)) / (2 * h)
-            assert g[j] == pytest.approx(dV, abs=1e-5)
+    for _ in range(25):
+        assert gravity_fd_error(model, rng.uniform(-2.5, 2.5, model.n)) <= 1e-5
+
+
+def test_gravity_check_catches_a_wrong_gravity_torque(request, rng,
+                                                      monkeypatch):
+    cases = []
+    for name in ("planar2r_gravity", "planar3r_gravity", "panda7"):
+        model = request.getfixturevalue(name)
+        cases += [(model, rng.uniform(-2.5, 2.5, model.n)) for _ in range(5)]
+    assert all(gravity_fd_error(m, q) <= 1e-5 for m, q in cases)
+    # the oracle reads this module's binding of gravity_torque
+    real = gravity_torque
+    monkeypatch.setitem(globals(), "gravity_torque",
+                        lambda m, frames: real(m, frames) + 1e-3)
+    assert all(gravity_fd_error(m, q) > 1e-5 for m, q in cases)
 
 
 def test_mass_matrix_vs_fd_kinetic_energy(planar2r, rng):
@@ -117,7 +137,7 @@ def test_mass_matrix_spd(robot_name, request, rng):
         q = model.limits.position_lower + rng.random(model.n) * (
             model.limits.position_upper - model.limits.position_lower)
         M = mass_matrix(model, forward_kinematics(model, q))
-        np.testing.assert_allclose(M, M.T, atol=1e-10)
+        np.testing.assert_allclose(M, M.T, rtol=0.0, atol=1e-10)
         assert np.linalg.eigvalsh(M).min() > 0.0
 
 
@@ -172,18 +192,40 @@ def test_coriolis_transpose_identity(panda7, rng):
                                    C @ qd + C.T @ qd, atol=1e-5)
 
 
-@pytest.mark.parametrize("robot_name", ["planar3r", "panda7"])
+def power_identity(model, q, qd):
+    """Both sides of qd' Mdot qd = 2 qd' C qd.  The identity follows from
+    the skew symmetry of Mdot - 2C, and C qd = bias - g: an exact oracle
+    with no finite differences."""
+    frames = forward_kinematics(model, q)
+    c_qd = bias_forces(model, frames, qd) - gravity_torque(model, frames)
+    return qd @ mdot_qd(model, frames, qd), 2.0 * qd @ c_qd
+
+
+@pytest.mark.parametrize("robot_name", ["planar2r_gravity", "planar3r",
+                                        "planar3r_gravity", "panda7"])
 def test_mdot_qd_power_identity(robot_name, request, rng):
-    # qd' Mdot qd = 2 qd' C qd by the skew symmetry of Mdot - 2C, and
-    # C qd = bias - g: an exact oracle with no finite differences
     model = request.getfixturevalue(robot_name)
-    for _ in range(20):
-        q = rng.uniform(-1.5, 1.5, model.n)
-        qd = rng.uniform(-2.0, 2.0, model.n)
-        frames = forward_kinematics(model, q)
-        c_qd = bias_forces(model, frames, qd) - gravity_torque(model, frames)
-        assert qd @ mdot_qd(model, frames, qd) == pytest.approx(
-            2.0 * qd @ c_qd, rel=1e-10)
+    for _ in range(25):
+        power, want = power_identity(model, rng.uniform(-2.5, 2.5, model.n),
+                                     rng.uniform(-2.0, 2.0, model.n))
+        assert power == pytest.approx(want, rel=1e-10)
+
+
+def test_mdot_power_check_catches_a_dropped_transpose_term(request, rng,
+                                                          monkeypatch):
+    # Mdot qd = C qd + C' qd; returning only C qd (bias - g) halves the power
+    cases = []
+    for name in ("planar2r_gravity", "planar3r_gravity", "panda7"):
+        model = request.getfixturevalue(name)
+        cases += [(model, rng.uniform(-2.5, 2.5, model.n),
+                   rng.uniform(-2.0, 2.0, model.n)) for _ in range(5)]
+    sides = [power_identity(*case) for case in cases]
+    assert all(p == pytest.approx(w, rel=1e-10) for p, w in sides)
+    # the oracle reads this module's binding of mdot_qd
+    monkeypatch.setitem(globals(), "mdot_qd", lambda m, frames, qd: (
+        bias_forces(m, frames, qd) - gravity_torque(m, frames)))
+    sides = [power_identity(*case) for case in cases]
+    assert all(p != pytest.approx(w, rel=1e-10) for p, w in sides)
 
 
 def test_cross3_matches_np_cross_bitwise(rng):
@@ -304,18 +346,27 @@ def test_task_dynamics_scalar_task(planar2r_gravity, rng):
 
 
 def test_task_dynamics_null_torque_produces_no_task_acceleration(panda7, rng):
-    # (I - J' Jbar') tau moves only the null space: J M^-1 applied to it is 0
-    q = rng.uniform(-1.0, 1.0, 7)
-    qd = rng.uniform(-0.5, 0.5, 7)
-    td, damped = ee_task_dynamics(panda7, q, qd)
-    assert not damped
-    frames = forward_kinematics(panda7, q)
-    J = body_jacobian(panda7, frames)
-    Minv = np.linalg.inv(mass_matrix(panda7, frames))
-    N = np.eye(7) - J.T @ td.Jbar.T
-    for _ in range(5):
-        tau = rng.standard_normal(7)
-        np.testing.assert_allclose(J @ Minv @ (N @ tau), 0.0, atol=1e-9)
+    # N = I - J' Jbar' is idempotent and Jbar' N = 0, so N tau moves only the
+    # null space: J M^-1 N = 0.  The identities hold at full task rank, so
+    # damped draws are skipped
+    checked = 0
+    for _ in range(25):
+        q = rng.uniform(-2.5, 2.5, 7)
+        td, damped = ee_task_dynamics(panda7, q, rng.uniform(-0.5, 0.5, 7))
+        if damped:
+            continue
+        frames = forward_kinematics(panda7, q)
+        J = body_jacobian(panda7, frames)
+        Minv = np.linalg.inv(mass_matrix(panda7, frames))
+        N = np.eye(7) - J.T @ td.Jbar.T
+        np.testing.assert_allclose(N @ N, N, rtol=0.0, atol=1e-8)
+        np.testing.assert_allclose(td.Jbar.T @ N, 0.0, atol=1e-8)
+        np.testing.assert_allclose(J @ Minv @ N, 0.0, atol=1e-8)
+        for _ in range(5):
+            tau = rng.standard_normal(7)
+            np.testing.assert_allclose(J @ Minv @ (N @ tau), 0.0, atol=1e-9)
+        checked += 1
+    assert checked >= 20
 
 
 def test_task_dynamics_damped_at_singularity(planar2r):

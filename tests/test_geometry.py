@@ -248,22 +248,32 @@ def test_closest_pair_no_obstacles(planar2r):
     assert sweep.min_distance == np.inf
 
 
-def test_distance_gradient_vs_fd(planar2r, rng):
-    obstacles = [Obstacle(Sphere(0.1), at([1.2, 0.8, 0.0]))]
+def test_distance_gradient_vs_fd(request, rng):
+    # a 0.08 m sphere anywhere in the unit cube; the difference is taken on
+    # the body closest at q, even where another body is closest at q +- h
     h = 1e-6
-    for _ in range(20):
-        q = rng.uniform(-0.6, 0.6, 2)
-        sweep = closest_pair_per_link(planar2r, q, obstacles)
-        res = sweep.min_result
-        if res.distance < 0.05:
-            continue
-        grad = distance_gradient(planar2r, forward_kinematics(planar2r, q), res)
-        for j in range(2):
-            dq = np.zeros(2)
-            dq[j] = h
-            dp = closest_pair_per_link(planar2r, q + dq, obstacles).min_distance
-            dm = closest_pair_per_link(planar2r, q - dq, obstacles).min_distance
-            assert grad[j] == pytest.approx((dp - dm) / (2 * h), abs=1e-5)
+    for name in ("planar2r", "planar3r", "panda7"):
+        model = request.getfixturevalue(name)
+        checked = 0
+        for _ in range(500):
+            q = rng.uniform(-2.5, 2.5, model.n)
+            obstacles = [Obstacle(Sphere(0.08), at(rng.uniform(-1.0, 1.0, 3)))]
+            res = closest_pair_per_link(model, q, obstacles).min_result
+            if res.distance < 0.05:
+                continue
+            grad = distance_gradient(model, forward_kinematics(model, q), res)
+            for j in range(model.n):
+                dq = np.zeros(model.n)
+                dq[j] = h
+                dp = closest_pair_per_link(model, q + dq, obstacles).results
+                dm = closest_pair_per_link(model, q - dq, obstacles).results
+                fd = (dp[res.body_index].distance
+                      - dm[res.body_index].distance) / (2 * h)
+                assert grad[j] == pytest.approx(fd, abs=1e-5)
+            checked += 1
+            if checked == 25:
+                break
+        assert checked == 25
 
 
 def test_distance_gradient_zero_distance_raises(planar2r):

@@ -130,22 +130,25 @@ def test_jacobian_invalid_frame(planar2r):
                            frame=5)
 
 
-def test_point_jacobian_matches_fd(planar3r, rng):
+def test_point_jacobian_matches_fd(request, rng):
     h = 1e-6
-    point = np.array([0.3, 0.1, 0.0])
-    for _ in range(10):
-        q = rng.uniform(-1.5, 1.5, 3)
-        for link in range(3):
-            Jp = point_jacobian(planar3r, forward_kinematics(planar3r, q), link,
-                                point)
-            Jfd = np.zeros((3, 3))
-            for j in range(3):
-                dq = np.zeros(3)
-                dq[j] = h
-                pp = forward_kinematics(planar3r, q + dq)[link].apply(point)
-                pm = forward_kinematics(planar3r, q - dq)[link].apply(point)
-                Jfd[:, j] = (pp - pm) / (2 * h)
-            np.testing.assert_allclose(Jp, Jfd, atol=1e-5)
+    for name in ("planar2r", "planar3r", "panda7"):
+        model = request.getfixturevalue(name)
+        n = model.n
+        for _ in range(25):
+            q = rng.uniform(-2.5, 2.5, n)
+            point = rng.uniform(-0.3, 0.3, 3)
+            for link in range(n):
+                Jp = point_jacobian(model, forward_kinematics(model, q), link,
+                                    point)
+                Jfd = np.zeros((3, n))
+                for j in range(n):
+                    dq = np.zeros(n)
+                    dq[j] = h
+                    pp = forward_kinematics(model, q + dq)[link].apply(point)
+                    pm = forward_kinematics(model, q - dq)[link].apply(point)
+                    Jfd[:, j] = (pp - pm) / (2 * h)
+                np.testing.assert_allclose(Jp, Jfd, rtol=0.0, atol=1e-5)
 
 
 def test_point_jacobian_world_agrees_with_local(planar3r, rng):
@@ -158,17 +161,20 @@ def test_point_jacobian_world_agrees_with_local(planar3r, rng):
         point_jacobian_world(planar3r, frames, 1, world), atol=1e-12)
 
 
-def test_body_jacobian_first_order_pose_diff(panda7, rng):
-    # central difference of the pose log along qd recovers J_b qd
+def test_body_jacobian_first_order_pose_diff(request, rng):
+    # central difference of the pose log along qd recovers J_b qd, for a
+    # random qd and for each joint alone (column by column)
     eps = 1e-4
-    for _ in range(10):
-        q = rng.uniform(-1.2, 1.2, 7)
-        qd = rng.uniform(-1.0, 1.0, 7)
-        Tm = forward_kinematics(panda7, q - eps * qd)[-1]
-        Tp = forward_kinematics(panda7, q + eps * qd)[-1]
-        Jb = body_jacobian(panda7, forward_kinematics(panda7, q))
-        np.testing.assert_allclose(pose_diff(Tm, Tp) / (2 * eps), Jb @ qd,
-                                   atol=1e-6)
+    for name in ("planar2r", "planar3r", "panda7"):
+        model = request.getfixturevalue(name)
+        for _ in range(25):
+            q = rng.uniform(-2.5, 2.5, model.n)
+            Jb = body_jacobian(model, forward_kinematics(model, q))
+            for qd in (rng.uniform(-1.0, 1.0, model.n), *np.eye(model.n)):
+                Tm = forward_kinematics(model, q - eps * qd)[-1]
+                Tp = forward_kinematics(model, q + eps * qd)[-1]
+                np.testing.assert_allclose(pose_diff(Tm, Tp) / (2 * eps),
+                                           Jb @ qd, atol=1e-6)
 
 
 def test_body_and_hybrid_jacobian_agree_at_identity_rotation(planar2r):

@@ -191,10 +191,20 @@ def test_baseline_mode_keeps_full_weight_and_rows(planar2r):
 
 
 def test_shooting_defects_zero_on_rollout(rng):
-    U = rng.standard_normal((8, 3))
-    X = _rollout(np.concatenate([rng.standard_normal(3), np.zeros(3)]), U, 0.05)
-    for d in shooting_defects(X, U, 0.05):
-        np.testing.assert_allclose(d, 0.0, atol=1e-15)
+    # explicit Euler rolled out here, not by the package, is the oracle
+    dt = 0.05
+    for n in (2, 3, 7):
+        for _ in range(10):
+            N = int(rng.integers(3, 9))
+            U = rng.uniform(-1.0, 1.0, (N, n))
+            X = np.empty((N + 1, 2 * n))
+            X[0, :n] = rng.uniform(-2.5, 2.5, n)
+            X[0, n:] = rng.uniform(-0.3, 0.3, n)
+            for k in range(N):
+                X[k + 1, :n] = X[k, :n] + dt * X[k, n:]
+                X[k + 1, n:] = X[k, n:] + dt * U[k]
+            for d in shooting_defects(X, U, dt):
+                np.testing.assert_allclose(d, 0.0, atol=1e-15)
 
 
 def test_shooting_defects_localized():
@@ -264,7 +274,7 @@ def test_qp_unconstrained_matches_normal_equations(rng):
     assert res.working_set == ()
 
 
-def test_qp_equality_constrained_oracle():
+def test_qp_equality_constrained_oracle(rng):
     # min |z|^2 subject to sum z = 1 puts equal weight on every entry
     n = 4
     H = 2.0 * np.eye(n)
@@ -273,6 +283,21 @@ def test_qp_equality_constrained_oracle():
                    np.array([1.0, 0.0, 0.0, 0.0]))
     assert res.status == "optimal"
     np.testing.assert_allclose(res.z, np.full(n, 0.25), atol=1e-9)
+    # random equality-only QPs against the KKT system solved densely
+    for _ in range(20):
+        n = int(rng.integers(4, 12))
+        m_eq = int(rng.integers(1, n - 1))
+        B = rng.normal(size=(n, n))
+        H = B @ B.T + n * np.eye(n)
+        g = rng.normal(size=n)
+        A_eq = rng.normal(size=(m_eq, n))
+        b_eq = rng.normal(size=m_eq)
+        z0 = np.linalg.lstsq(A_eq, b_eq, rcond=None)[0]
+        res = solve_qp(H, g, A_eq, b_eq, None, np.zeros(0), z0)
+        assert res.status == "optimal"
+        K = np.block([[H, A_eq.T], [A_eq, np.zeros((m_eq, m_eq))]])
+        want = np.linalg.solve(K, np.concatenate([-g, b_eq]))[:n]
+        np.testing.assert_allclose(res.z, want, rtol=0.0, atol=1e-9)
 
 
 def test_qp_active_box():

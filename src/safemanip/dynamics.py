@@ -1,32 +1,37 @@
 """Joint- and task-space dynamics of serial chains.
 
-``mass_matrix`` assembles M(q) by composite-rigid-body accumulation in world
-coordinates; ``inverse_dynamics`` is a world-frame recursive Newton-Euler pass
-(gravity enters through a fictitious base acceleration).
+Every per-state quantity is in Plücker coordinates at the world origin,
+angular part first (dynamics in ground coordinates, Featherstone, *Rigid Body
+Dynamics Algorithms*, 2008, sections 5.3 and 6.2): joint i moves along
+``S_i = (a_i, o_i x a_i)`` (world axis a_i through origin o_i) and link i has
+the spatial inertia ``Io_i`` about the world origin.  In that one frame each
+recursion over the chain is a prefix sum over the links, with no Python loop:
 
-The 1 kHz terms are exact.  ``mdot_qd`` is the derivative of M along the
-motion, ``Mdot qd = C qd + C^T qd``, from one forward and one backward pass
-over the links (the CRBA derivative with ``Sdot_j = v_j x S_j`` and
-``Idot_k = v_k x* I_k - I_k v_k x``, Featherstone, *Rigid Body Dynamics
-Algorithms*, 2008; Echeandia & Wensing, arXiv:2010.01033).  The estimator
-evaluates the momentum drift ``-C^T qd + g`` as ``bias - mdot_qd``.
-``jacobian_dot_qd`` is the velocity-product acceleration of the end-effector
-frame, the forward pass with ``qdd = 0``.  The tests check these terms
-against a Christoffel-form C(q, qd) built from central differences of M,
-which is independent of this analytic code.
+  * ``V = cumsum(S qd)``, ``A = (0, -g) + cumsum(S qdd + (V x S) qd)``;
+  * ``inverse_dynamics``: ``tau = S . revcumsum(Io A + V x* Io V)``;
+  * ``mass_matrix``: ``M_ij = S_i . revcumsum(Io)_j S_j`` for i <= j;
+  * ``mdot_qd``: ``Mdot qd = C qd + C^T qd = S . F + (V x S) . revcumsum(Io
+    V)``, F the Newton-Euler sum at ``qdd = 0`` without gravity (the CRBA
+    derivative; Echeandia & Wensing, arXiv:2010.01033).  The estimator
+    evaluates the momentum drift ``-C^T qd + g`` as ``bias - mdot_qd``;
+  * ``jacobian_dot_qd``: from the last row of A at ``qdd = 0``.
+
+S and Io depend on q alone: the first kernel to need them builds both from
+the world link arrays of the :class:`safemanip.model.Frames` and caches them
+read-only there (``frames.spatial``), once per state.  The tests check every
+kernel against the per-link recursions it replaced and against a
+Christoffel-form C(q, qd) from central differences of M.
 
 Per-state convention: ``mass_matrix``, ``inverse_dynamics``, ``bias_forces``,
 ``gravity_torque``, ``mdot_qd`` and ``jacobian_dot_qd`` take the
 :class:`safemanip.model.Frames` of :func:`safemanip.model.forward_kinematics`
-as a required argument and read the world axes, origins, COMs and inertias
-it carries; nothing here rotates link data into the world again.
-:class:`KinState` is the one object computed per state (q, qd): its frames, M
-and bias come from one forward-kinematics pass and one call each of the
-public ``mass_matrix`` and ``bias_forces``.  ``sim.run`` builds it once per
-tick for the true state (and once more for the measured state when sensor
-noise is on); the controller laws, ``task_dynamics_from_jacobian``,
-``forward_dynamics`` and the first RK4 stage read it, the later RK4 stages
-build their own.
+as a required argument.  :class:`KinState` is the one object computed per
+state (q, qd): its frames, M and bias come from one forward-kinematics pass
+and one call each of the public ``mass_matrix`` and ``bias_forces``.
+``sim.run`` builds it once per tick for the true state (and once more for the
+measured state when sensor noise is on); the controller laws,
+``task_dynamics_from_jacobian``, ``forward_dynamics`` and the first RK4 stage
+read it, the later RK4 stages build their own.
 
 ``task_dynamics_from_jacobian`` damps itself, as ``robust_pinv`` does: a
 near-singular apparent task inertia is regularized, and the second value it
@@ -39,8 +44,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Frames, RobotModel, forward_kinematics
-from .se3 import cross3, hat
+from .model import Frames, RobotModel, cross_rows, forward_kinematics
+from .se3 import cross3
 
 
 @dataclass(frozen=True)
@@ -57,89 +62,76 @@ class TaskDynamicsTerms:
     Jbar: np.ndarray
 
 
+def _spatial(model: RobotModel, frames: Frames):
+    """``S`` (n x 6) and ``Io`` (n x 6 x 6) of the frames, cached on them."""
+    if frames.spatial is None:
+        axes, c, m = frames.axes, frames.coms, model.masses[:, None, None]
+        S = np.concatenate((axes, cross_rows(frames.origins, axes)), axis=1)
+        C = np.zeros((model.n, 3, 3))  # hat of each COM
+        C[:, [2, 0, 1], [1, 2, 0]] = c
+        C[:, [1, 2, 0], [2, 0, 1]] = -c
+        mC = m * C
+        Io = np.empty((model.n, 6, 6))
+        Io[:, :3, :3] = frames.inertias - mC @ C
+        Io[:, :3, 3:] = mC
+        Io[:, 3:, :3] = -mC
+        Io[:, 3:, 3:] = m * np.eye(3)
+        S.flags.writeable = Io.flags.writeable = False
+        frames.spatial = S, Io
+    return frames.spatial
+
+
+def _cross_motion(V, M):
+    """Rows of ``V x M`` for motion vectors M: (w x m, w x m_o + v x m)."""
+    w, v, m = V[:, :3], V[:, 3:], M[:, :3]
+    c = cross_rows(np.concatenate((w, w, v)),
+                   np.concatenate((m, M[:, 3:], m))).reshape(3, -1, 3)
+    return np.concatenate((c[0], c[1] + c[2]), axis=1)
+
+
+def _cross_force(V, F):
+    """Rows of ``V x* F`` for force vectors F: (w x n + v x f, w x f)."""
+    w, f = V[:, :3], F[:, 3:]
+    c = cross_rows(np.concatenate((w, V[:, 3:], w)),
+                   np.concatenate((F[:, :3], f, f))).reshape(3, -1, 3)
+    return np.concatenate((c[0] + c[1], c[2]), axis=1)
+
+
+def _subtree_sums(rows):
+    """Entry i: the sum of rows i..n-1 (the subtree of joint i)."""
+    return np.cumsum(rows[::-1], axis=0)[::-1]
+
+
+def _velocities(model: RobotModel, frames: Frames, qd):
+    """S, Io, the link velocities V and the axis rates V x S of one state."""
+    S, Io = _spatial(model, frames)
+    V = np.cumsum(S * qd[:, None], axis=0)
+    return S, Io, V, _cross_motion(V, S)
+
+
+def _link_wrenches(Io, V, A):
+    """Each link's net wrench ``Io A + V x* Io V`` and momentum ``Io V``."""
+    IV, IA = (Io @ np.stack((V, A), axis=2)).transpose(2, 0, 1)
+    return IA + _cross_force(V, IV), IV
+
+
 def mass_matrix(model: RobotModel, frames: Frames) -> np.ndarray:
     """n x n joint-space inertia matrix via composite rigid bodies."""
-    n = model.n
-
-    # spatial inertia of each link about the world origin (angular-first)
-    Io = np.zeros((n, 6, 6))
-    for i, link in enumerate(model.links):
-        chat = hat(frames.coms[i])
-        m = link.mass
-        Io[i, :3, :3] = frames.inertias[i] - m * (chat @ chat)
-        Io[i, :3, 3:] = m * chat
-        Io[i, 3:, :3] = -m * chat
-        Io[i, 3:, 3:] = m * np.eye(3)
-    # composite inertia of the subtree rooted at each joint
-    Ic = np.cumsum(Io[::-1], axis=0)[::-1]
-
-    S = np.empty((n, 6))
-    S[:, :3] = frames.axes
-    for j, (axis, origin) in enumerate(zip(frames.axes, frames.origins)):
-        S[j, 3:] = cross3(origin, axis)
-
-    M = np.zeros((n, n))
-    for j in range(n):
-        y = Ic[j] @ S[j]
-        M[: j + 1, j] = S[: j + 1] @ y
-        M[j, : j + 1] = M[: j + 1, j]
-    return M
-
-
-def _forward_pass(frames: Frames, qd, qdd, a_base):
-    """Link velocities and accelerations, base to tip.
-
-    Entry i of each returned list: the angular velocity of link i, the
-    velocity of its joint origin o_i, the angular acceleration of link i and
-    the acceleration of o_i, for joint accelerations ``qdd`` and a base that
-    accelerates at ``a_base``.
-    """
-    omega, v_origin, alpha, a_origin = [], [], [], []
-    w = v = al = o_prev = np.zeros(3)
-    ao = a_base
-    for i, (axis, o) in enumerate(zip(frames.axes, frames.origins)):
-        r = o - o_prev
-        v_rel = cross3(w, r)
-        v = v + v_rel
-        ao = ao + cross3(al, r) + cross3(w, v_rel)
-        w_rel = axis * qd[i]
-        al = al + axis * qdd[i] + cross3(w, w_rel)
-        w = w + w_rel
-        omega.append(w)
-        v_origin.append(v)
-        alpha.append(al)
-        a_origin.append(ao)
-        o_prev = o
-    return omega, v_origin, alpha, a_origin
+    S, Io = _spatial(model, frames)
+    P = S @ (_subtree_sums(Io) @ S[:, :, None])[:, :, 0].T
+    return np.triu(P) + np.triu(P, 1).T
 
 
 def inverse_dynamics(model: RobotModel, frames: Frames, qd, qdd) -> np.ndarray:
     """Joint torques realizing ``qdd`` at state (q, qd):  M qdd + C qd + g."""
     qd = np.asarray(qd, dtype=float).reshape(-1)
     qdd = np.asarray(qdd, dtype=float).reshape(-1)
-    n = model.n
-    axes, origins, coms, inertias = (frames.axes, frames.origins, frames.coms,
-                                     frames.inertias)
+    S, Io, V, VxS = _velocities(model, frames, qd)
+    A = np.cumsum(S * qdd[:, None] + VxS * qd[:, None], axis=0)
     # gravity enters as an upward acceleration of the base
-    omega, _, alpha, a_origin = _forward_pass(frames, qd, qdd, -model.gravity)
-
-    tau = np.zeros(n)
-    f_child = np.zeros(3)
-    n_child = np.zeros(3)  # moment about the child joint origin
-    o_child = np.zeros(3)
-    for i in range(n - 1, -1, -1):
-        w = omega[i]
-        rc = coms[i] - origins[i]
-        F = model.links[i].mass * (a_origin[i] + cross3(alpha[i], rc)
-                                   + cross3(w, cross3(w, rc)))
-        N = inertias[i] @ alpha[i] + cross3(w, inertias[i] @ w)
-        f = F + f_child
-        mom = N + cross3(rc, F)
-        if i < n - 1:
-            mom += n_child + cross3(o_child - origins[i], f_child)
-        tau[i] = axes[i] @ mom
-        f_child, n_child, o_child = f, mom, origins[i]
-    return tau
+    A[:, 3:] -= model.gravity
+    f, _ = _link_wrenches(Io, V, A)
+    return (S * _subtree_sums(f)).sum(axis=1)
 
 
 def gravity_torque(model: RobotModel, frames: Frames) -> np.ndarray:
@@ -178,60 +170,29 @@ class KinState:
 def mdot_qd(model: RobotModel, frames: Frames, qd) -> np.ndarray:
     """``Mdot qd``, the derivative of M along the motion, exactly.
 
-    Entry i is ``S_i' F_i + Sdot_i' H_i``: ``F_i`` is the velocity-product
-    wrench of the subtree of joint i (so ``S_i' F_i`` is ``(C qd)_i``),
-    ``H_i`` its momentum and ``Sdot_i = v_i x S_i`` the rate of the joint
-    axis (so ``Sdot_i' H_i`` is ``(C^T qd)_i``).  At the joint origin o_i
-    the second term reads ``a_i . (L_i x w_i + p_i x v(o_i))`` with the
-    subtree's angular momentum L_i about o_i and linear momentum p_i.
+    Entry i is ``S_i' F_i + Sdot_i' H_i``: ``S_i' F_i`` is ``(C qd)_i`` and
+    ``Sdot_i' H_i``, with the subtree momentum H_i, is ``(C^T qd)_i``.
     """
     qd = np.asarray(qd, dtype=float).reshape(-1)
-    # qdd = 0 and no gravity: the accelerations the motion alone produces
-    omega, v_origin, alpha, a_origin = _forward_pass(
-        frames, qd, np.zeros(model.n), np.zeros(3))
-    axes, origins, coms, inertias = (frames.axes, frames.origins, frames.coms,
-                                     frames.inertias)
-    out = np.empty(model.n)
-    force = moment = momentum = ang_momentum = o_child = np.zeros(3)
-    for i in range(model.n - 1, -1, -1):
-        w = omega[i]
-        rc = coms[i] - origins[i]
-        d = o_child - origins[i]
-        Iw = inertias[i] @ w
-        w_rc = cross3(w, rc)
-        m = model.links[i].mass
-        F = m * (a_origin[i] + cross3(alpha[i], rc) + cross3(w, w_rc))
-        p = m * (v_origin[i] + w_rc)
-        # subtree wrench and momentum, moments about o_i
-        moment = (inertias[i] @ alpha[i] + cross3(w, Iw) + cross3(rc, F)
-                  + moment + cross3(d, force))
-        ang_momentum = Iw + cross3(rc, p) + ang_momentum + cross3(d, momentum)
-        force = F + force
-        momentum = p + momentum
-        out[i] = axes[i] @ (moment + cross3(ang_momentum, w)
-                            + cross3(momentum, v_origin[i]))
-        o_child = origins[i]
-    return out
+    S, Io, V, VxS = _velocities(model, frames, qd)
+    f, IV = _link_wrenches(Io, V, np.cumsum(VxS * qd[:, None], axis=0))
+    return (S * _subtree_sums(f) + VxS * _subtree_sums(IV)).sum(axis=1)
 
 
 def jacobian_dot_qd(model: RobotModel, frames: Frames, qd) -> np.ndarray:
     """``Jdot qd`` of the body Jacobian, exactly.
 
-    The rate of ``J_b qd = (R' w, R' v_ee)`` at ``qdd = 0``: the angular
-    velocity-product acceleration and ``a_ee - w x v_ee`` of the
-    end-effector origin, both rotated into the end-effector frame.
+    The rate of ``J_b qd = (R' w, R' v_ee)`` at ``qdd = 0``: ``(R' alpha,
+    R' (a_ee - w x v_ee)) = (R' alpha, R' (a_O + alpha x p_ee))`` for the
+    last link's spatial acceleration ``(alpha, a_O)``.
     """
     qd = np.asarray(qd, dtype=float).reshape(-1)
-    omega, v_origin, alpha, a_origin = _forward_pass(
-        frames, qd, np.zeros(model.n), np.zeros(3))
+    _, _, _, VxS = _velocities(model, frames, qd)
+    alpha, a_origin = (VxS * qd[:, None]).sum(axis=0).reshape(2, 3)
     ee = frames[-1]
-    w, al = omega[-1], alpha[-1]
-    # with r from the last joint origin o to the EE origin, a_ee - w x v_ee
-    # = a_o + al x r + w x (w x r) - w x (v_o + w x r) = a_o + al x r - w x v_o
-    r = ee.translation - frames.origins[-1]
-    linear = a_origin[-1] + cross3(al, r) - cross3(w, v_origin[-1])
     RT = ee.rotation.T
-    return np.concatenate([RT @ al, RT @ linear])
+    return np.concatenate([RT @ alpha,
+                           RT @ (a_origin + cross3(alpha, ee.translation))])
 
 
 _TASK_COND_LIMIT = 1e12
@@ -270,6 +231,5 @@ def forward_dynamics(kin: KinState, tau, tau_ext=None) -> np.ndarray:
 
 
 def potential_energy(model: RobotModel, q) -> float:
-    masses = np.array([link.mass for link in model.links], dtype=float)
-    coms = forward_kinematics(model, q).coms
-    return -float(np.sum(masses[:, None] * coms * model.gravity[None, :], axis=(0, 1)))
+    weighted = forward_kinematics(model, q).coms * model.masses[:, None]
+    return -float(np.sum(weighted * model.gravity[None, :], axis=(0, 1)))

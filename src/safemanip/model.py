@@ -16,11 +16,16 @@ Per-state convention: ``forward_kinematics`` is the one place that walks the
 chain and the one place that turns link data into world coordinates.  It
 returns :class:`Frames`, the list of the n + 1 poses, which also carries each
 link's world joint axis, joint origin, COM and COM inertia as read-only
-arrays.  Every kinematic primitive here (and the dynamics and distance
-primitives built on them) takes these ``frames`` as a required argument, reads
-those arrays and never recomputes them.  The closed loop builds one
-:class:`safemanip.dynamics.KinState` per state, holding the frames together
-with M(q) and the bias, and hands that object to every consumer of the tick.
+arrays; every kinematic, dynamics and distance primitive takes these
+``frames`` and never recomputes them.  :mod:`safemanip.dynamics` caches the
+joint motion subspaces and link spatial inertias of the state, in Plücker
+coordinates at the world origin, on the same frames (``Frames.spatial``) and
+runs its recursions over them as prefix sums (Featherstone, *Rigid Body
+Dynamics Algorithms*, 2008).  The closed loop builds one
+:class:`safemanip.dynamics.KinState` per state.
+
+:class:`RobotModel` stacks its per-joint constants once, so the one Python
+loop per link left here is the pose chain in ``forward_kinematics``.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from typing import Optional
 
 import numpy as np
 
-from .se3 import Pose, cross3, so3_exp
+from .se3 import Pose, hat
 
 
 @dataclass(frozen=True)
@@ -106,6 +111,14 @@ class RobotModel:
     gravity: np.ndarray = field(default_factory=lambda: np.array([0.0, 0.0, -9.81]))
     limits: Optional[JointLimits] = None
     name: str = "robot"
+    # link-frame constants stacked read-only by __post_init__; K = hat(axis)
+    axes: np.ndarray = field(init=False, repr=False, compare=False)
+    masses: np.ndarray = field(init=False, repr=False, compare=False)
+    coms: np.ndarray = field(init=False, repr=False, compare=False)
+    inertias: np.ndarray = field(init=False, repr=False, compare=False)
+    origin_transforms: np.ndarray = field(init=False, repr=False, compare=False)
+    origin_rk: np.ndarray = field(init=False, repr=False, compare=False)
+    origin_rk2: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "joints", tuple(self.joints))
@@ -122,6 +135,22 @@ class RobotModel:
                 raise ValueError(f"collision body on invalid link {body.link}")
         if self.limits is None:
             object.__setattr__(self, "limits", JointLimits.uniform(len(self.joints)))
+        R0 = np.array([j.origin.rotation for j in self.joints])
+        K = np.array([hat(j.axis) for j in self.joints])
+        T0 = np.zeros((len(self.joints), 4, 4))
+        T0[:, :3, :3], T0[:, 3, 3] = R0, 1.0
+        T0[:, :3, 3] = [j.origin.translation for j in self.joints]
+        R0K = R0 @ K
+        for name, value in (
+                ("axes", [j.axis for j in self.joints]),
+                ("masses", [link.mass for link in self.links]),
+                ("coms", [link.com for link in self.links]),
+                ("inertias", [link.inertia for link in self.links]),
+                ("origin_transforms", T0), ("origin_rk", R0K),
+                ("origin_rk2", R0K @ K)):
+            value = np.array(value, dtype=float)
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
     @property
     def n(self) -> int:
@@ -142,10 +171,11 @@ class Frames(list):
     Row i of each read-only ``(n, ...)`` array is a world quantity of link i:
     ``axes`` its joint axis, ``origins`` its joint origin (the translation of
     frame i), ``coms`` its center of mass and ``inertias`` its rotational
-    inertia about the COM.
+    inertia about the COM.  ``spatial`` is the :mod:`safemanip.dynamics`
+    cache of these frames, None until it is built.
     """
 
-    __slots__ = ("axes", "origins", "coms", "inertias")
+    __slots__ = ("axes", "origins", "coms", "inertias", "spatial")
 
     def __init__(self, poses, axes, origins, coms, inertias):
         super().__init__(poses)
@@ -153,24 +183,36 @@ class Frames(list):
             stacked = np.array(rows)
             stacked.flags.writeable = False
             setattr(self, name, stacked)
+        self.spatial = None
 
 
 def forward_kinematics(model: RobotModel, q: np.ndarray) -> Frames:
     """Link and end-effector poses of ``q`` and the world link quantities."""
     q = model.check_q(q)
-    poses, axes, origins, coms, inertias = [], [], [], [], []
-    R, t = np.eye(3), np.zeros(3)
-    for joint, link, qi in zip(model.joints, model.links, q):
-        o = joint.origin
-        t = R @ o.translation + t
-        R = (R @ o.rotation) @ so3_exp(joint.axis * qi)
-        poses.append(Pose(R, t))
-        axes.append(R @ joint.axis)
-        origins.append(t)
-        coms.append(R @ link.com + t)
-        inertias.append(R @ link.inertia @ R.T)
+    # local transforms: the origin, then R0 (I + sin q K + (1 - cos q) K^2)
+    T = model.origin_transforms.copy()
+    T[:, :3, :3] += np.sin(q)[:, None, None] * model.origin_rk
+    T[:, :3, :3] += (1.0 - np.cos(q))[:, None, None] * model.origin_rk2
+    for i in range(1, model.n):
+        T[i] = T[i - 1] @ T[i]
+    R, t = T[:, :3, :3].copy(), T[:, :3, 3]
+    poses = [Pose(Ri, ti) for Ri, ti in zip(R, t)]
     poses.append(poses[-1] @ model.ee_frame)
-    return Frames(poses, axes, origins, coms, inertias)
+    return Frames(poses, (R @ model.axes[:, :, None])[..., 0], t,
+                  (R @ model.coms[:, :, None])[..., 0] + t,
+                  R @ model.inertias @ R.transpose(0, 2, 1))
+
+
+# column orders of the cross product's terms: a x b = a[P] b[Q] - a[Q] b[P]
+_P = np.array([1, 2, 0])
+_Q = np.array([2, 0, 1])
+
+
+def cross_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise cross products of two (k, 3) arrays, each row bitwise equal
+    to ``se3.cross3`` of that row (same products and differences)."""
+    return (a.take(_P, axis=1) * b.take(_Q, axis=1)
+            - a.take(_Q, axis=1) * b.take(_P, axis=1))
 
 
 def geometric_jacobian(model: RobotModel, frames: Frames,
@@ -186,12 +228,11 @@ def geometric_jacobian(model: RobotModel, frames: Frames,
         target, last = frames[frame], frame
     else:
         raise ValueError(f"invalid frame index {frame} for {model.n}-joint chain")
-    axes, origins = frames.axes, frames.origins
+    axes = frames.axes[: last + 1]
     J = np.zeros((6, model.n))
-    p = target.translation
-    for j in range(last + 1):
-        J[:3, j] = axes[j]
-        J[3:, j] = cross3(axes[j], p - origins[j])
+    J[:3, : last + 1] = axes.T
+    J[3:, : last + 1] = cross_rows(
+        axes, target.translation - frames.origins[: last + 1]).T
     return J
 
 
@@ -201,10 +242,9 @@ def point_jacobian(model: RobotModel, frames: Frames, link: int,
     if not 0 <= link < model.n:
         raise ValueError(f"invalid link index {link} for {model.n}-joint chain")
     p = frames[link].apply(np.asarray(point_local, dtype=float))
-    axes, origins = frames.axes, frames.origins
     J = np.zeros((3, model.n))
-    for j in range(link + 1):
-        J[:, j] = cross3(axes[j], p - origins[j])
+    J[:, : link + 1] = cross_rows(frames.axes[: link + 1],
+                                  p - frames.origins[: link + 1]).T
     return J
 
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -13,9 +15,9 @@ from safemanip.dynamics import (
     potential_energy,
     task_dynamics_from_jacobian,
 )
-from safemanip.model import body_jacobian, forward_kinematics
+from safemanip.model import Joint, body_jacobian, forward_kinematics
 from safemanip.robots import robot_from_dict
-from safemanip.se3 import cross3
+from safemanip.se3 import Pose, cross3, hat, so3_exp
 from safemanip.sim import rk4_step
 
 
@@ -47,6 +49,212 @@ def coriolis_matrix(model, q, qd):
     return 0.5 * (mdot + t2 - t3)
 
 
+# Per-link recursions, the reference for the prefix-sum kernels: they walk
+# the chain link by link in each link's own terms (joint origins, COMs,
+# classical accelerations) and share no code with the kernels they check.
+
+def ref_frames(model, q):
+    """Poses and world link quantities by composing one joint at a time."""
+    poses, axes, origins, coms, inertias = [], [], [], [], []
+    R, t = np.eye(3), np.zeros(3)
+    for joint, link, qi in zip(model.joints, model.links, q):
+        o = joint.origin
+        t = R @ o.translation + t
+        R = (R @ o.rotation) @ so3_exp(joint.axis * qi)
+        poses.append(Pose(R, t))
+        axes.append(R @ joint.axis)
+        origins.append(t)
+        coms.append(R @ link.com + t)
+        inertias.append(R @ link.inertia @ R.T)
+    poses.append(poses[-1] @ model.ee_frame)
+    return poses, np.array(axes), np.array(origins), np.array(coms), np.array(
+        inertias)
+
+
+def ref_mass_matrix(model, frames):
+    """Composite rigid bodies, one column at a time."""
+    _, axes, origins, coms, inertias = frames
+    n = model.n
+    Io = np.zeros((n, 6, 6))
+    for i, link in enumerate(model.links):
+        chat = hat(coms[i])
+        m = link.mass
+        Io[i, :3, :3] = inertias[i] - m * (chat @ chat)
+        Io[i, :3, 3:] = m * chat
+        Io[i, 3:, :3] = -m * chat
+        Io[i, 3:, 3:] = m * np.eye(3)
+    Ic = np.cumsum(Io[::-1], axis=0)[::-1]
+    S = np.empty((n, 6))
+    S[:, :3] = axes
+    for j in range(n):
+        S[j, 3:] = cross3(origins[j], axes[j])
+    M = np.zeros((n, n))
+    for j in range(n):
+        y = Ic[j] @ S[j]
+        M[: j + 1, j] = S[: j + 1] @ y
+        M[j, : j + 1] = M[: j + 1, j]
+    return M
+
+
+def ref_forward_pass(frames, qd, qdd, a_base):
+    """Angular velocity, velocity of the joint origin, angular acceleration
+    and acceleration of the joint origin of each link, base to tip."""
+    _, axes, origins, _, _ = frames
+    omega, v_origin, alpha, a_origin = [], [], [], []
+    w = v = al = o_prev = np.zeros(3)
+    ao = a_base
+    for i, (axis, o) in enumerate(zip(axes, origins)):
+        r = o - o_prev
+        v_rel = cross3(w, r)
+        v = v + v_rel
+        ao = ao + cross3(al, r) + cross3(w, v_rel)
+        w_rel = axis * qd[i]
+        al = al + axis * qdd[i] + cross3(w, w_rel)
+        w = w + w_rel
+        omega.append(w)
+        v_origin.append(v)
+        alpha.append(al)
+        a_origin.append(ao)
+        o_prev = o
+    return omega, v_origin, alpha, a_origin
+
+
+def ref_inverse_dynamics(model, frames, qd, qdd):
+    """Newton-Euler, tip to base, moments about each joint origin."""
+    _, axes, origins, coms, inertias = frames
+    n = model.n
+    omega, _, alpha, a_origin = ref_forward_pass(frames, qd, qdd,
+                                                 -model.gravity)
+    tau = np.zeros(n)
+    f_child = n_child = o_child = np.zeros(3)
+    for i in range(n - 1, -1, -1):
+        w = omega[i]
+        rc = coms[i] - origins[i]
+        F = model.links[i].mass * (a_origin[i] + cross3(alpha[i], rc)
+                                   + cross3(w, cross3(w, rc)))
+        N = inertias[i] @ alpha[i] + cross3(w, inertias[i] @ w)
+        f = F + f_child
+        mom = N + cross3(rc, F)
+        if i < n - 1:
+            mom += n_child + cross3(o_child - origins[i], f_child)
+        tau[i] = axes[i] @ mom
+        f_child, n_child, o_child = f, mom, origins[i]
+    return tau
+
+
+def ref_mdot_qd(model, frames, qd):
+    """``S_i' F_i + Sdot_i' H_i``, subtree wrench and momentum about o_i."""
+    _, axes, origins, coms, inertias = frames
+    omega, v_origin, alpha, a_origin = ref_forward_pass(
+        frames, qd, np.zeros(model.n), np.zeros(3))
+    out = np.empty(model.n)
+    force = moment = momentum = ang_momentum = o_child = np.zeros(3)
+    for i in range(model.n - 1, -1, -1):
+        w = omega[i]
+        rc = coms[i] - origins[i]
+        d = o_child - origins[i]
+        Iw = inertias[i] @ w
+        w_rc = cross3(w, rc)
+        m = model.links[i].mass
+        F = m * (a_origin[i] + cross3(alpha[i], rc) + cross3(w, w_rc))
+        p = m * (v_origin[i] + w_rc)
+        moment = (inertias[i] @ alpha[i] + cross3(w, Iw) + cross3(rc, F)
+                  + moment + cross3(d, force))
+        ang_momentum = Iw + cross3(rc, p) + ang_momentum + cross3(d, momentum)
+        force = F + force
+        momentum = p + momentum
+        out[i] = axes[i] @ (moment + cross3(ang_momentum, w)
+                            + cross3(momentum, v_origin[i]))
+        o_child = origins[i]
+    return out
+
+
+def ref_jacobian_dot_qd(model, frames, qd):
+    """``(R' alpha, R' (a_ee - w x v_ee))`` from the last joint origin."""
+    poses, _, origins, _, _ = frames
+    omega, v_origin, alpha, a_origin = ref_forward_pass(
+        frames, qd, np.zeros(model.n), np.zeros(3))
+    ee = poses[-1]
+    w, al = omega[-1], alpha[-1]
+    r = ee.translation - origins[-1]
+    linear = a_origin[-1] + cross3(al, r) - cross3(w, v_origin[-1])
+    RT = ee.rotation.T
+    return np.concatenate([RT @ al, RT @ linear])
+
+
+def assert_close(got, want, rel):
+    """Equal to ``rel`` times the largest magnitude of ``want``."""
+    np.testing.assert_allclose(got, want, rtol=0.0,
+                               atol=rel * np.abs(want).max())
+
+
+@pytest.fixture(scope="module")
+def panda7_random_axes(panda7):
+    """panda7 with a random unit axis at every joint: no axis on a
+    coordinate axis, so no product of the kernels is exact by accident."""
+    axes = np.random.default_rng(5).standard_normal((panda7.n, 3))
+    return dataclasses.replace(panda7, joints=tuple(
+        Joint(axis / np.linalg.norm(axis), joint.origin)
+        for axis, joint in zip(axes, panda7.joints)))
+
+
+@pytest.mark.parametrize("robot_name", ["planar2r", "planar3r", "panda7",
+                                        "panda7_random_axes"])
+def test_kernels_match_per_link_recursions(robot_name, request, rng):
+    model = request.getfixturevalue(robot_name)
+    for _ in range(200):
+        q = rng.uniform(-2.5, 2.5, model.n)
+        qd = rng.uniform(-2.0, 2.0, model.n)
+        qdd = rng.uniform(-5.0, 5.0, model.n)
+        frames = forward_kinematics(model, q)
+        ref = ref_frames(model, q)
+        for got, want in zip(frames, ref[0]):
+            assert_close(got.rotation, want.rotation, 1e-13)
+            assert_close(got.translation, want.translation, 1e-13)
+        for got, want in zip((frames.axes, frames.origins, frames.coms,
+                              frames.inertias), ref[1:]):
+            assert_close(got, want, 1e-13)
+        assert_close(mass_matrix(model, frames), ref_mass_matrix(model, ref),
+                     1e-13)
+        assert_close(inverse_dynamics(model, frames, qd, qdd),
+                     ref_inverse_dynamics(model, ref, qd, qdd), 1e-13)
+        assert_close(bias_forces(model, frames, qd),
+                     ref_inverse_dynamics(model, ref, qd, np.zeros(model.n)),
+                     1e-13)
+        assert_close(mdot_qd(model, frames, qd), ref_mdot_qd(model, ref, qd),
+                     1e-13)
+        assert_close(jacobian_dot_qd(model, frames, qd),
+                     ref_jacobian_dot_qd(model, ref, qd), 1e-13)
+
+
+@pytest.mark.parametrize("robot_name", ["planar3r_gravity", "panda7",
+                                        "panda7_random_axes"])
+def test_inverse_dynamics_is_mass_matrix_plus_bias(robot_name, request, rng):
+    model = request.getfixturevalue(robot_name)
+    for _ in range(50):
+        q = rng.uniform(-2.5, 2.5, model.n)
+        qd = rng.uniform(-2.0, 2.0, model.n)
+        qdd = rng.uniform(-5.0, 5.0, model.n)
+        kin = KinState.of(model, q, qd)
+        assert_close(inverse_dynamics(model, kin.frames, qd, qdd),
+                     kin.M @ qdd + kin.bias, 1e-12)
+
+
+def test_spatial_terms_are_cached_read_only(panda7, rng):
+    # M, the bias, Mdot qd and Jdot qd of one state share one build of the
+    # joint motion subspaces and link spatial inertias
+    kin = KinState.of(panda7, rng.uniform(-2.5, 2.5, 7), rng.uniform(-2, 2, 7))
+    cached = kin.frames.spatial
+    mdot_qd(panda7, kin.frames, kin.qd)
+    jacobian_dot_qd(panda7, kin.frames, kin.qd)
+    assert kin.frames.spatial is cached
+    S, Io = cached
+    assert S.shape == (7, 6) and Io.shape == (7, 6, 6)
+    for rows in cached:
+        with pytest.raises(ValueError):
+            rows[0] = 0.0
+
+
 def ee_task_dynamics(model, q, qd):
     """Task-space dynamics at the end effector (body-frame Jacobian) and
     whether they were damped."""
@@ -59,7 +267,8 @@ def ee_task_dynamics(model, q, qd):
 def test_planar2r_mass_matrix_stretched(planar2r):
     # point masses at the link tips, q2 = 0
     M = mass_matrix(planar2r, forward_kinematics(planar2r, np.zeros(2)))
-    np.testing.assert_allclose(M, [[5.0, 2.0], [2.0, 1.0]], atol=1e-9)
+    np.testing.assert_allclose(M, [[5.0, 2.0], [2.0, 1.0]], rtol=0.0,
+                               atol=1e-9)
 
 
 def test_planar2r_mass_matrix_analytic(planar2r, rng):
@@ -70,13 +279,13 @@ def test_planar2r_mass_matrix_analytic(planar2r, rng):
         expect = np.array([[3.0 + 2.0 * c2, 1.0 + c2],
                            [1.0 + c2, 1.0]])
         M = mass_matrix(planar2r, forward_kinematics(planar2r, [q1, q2]))
-        np.testing.assert_allclose(M, expect, atol=1e-9)
+        np.testing.assert_allclose(M, expect, rtol=0.0, atol=1e-9)
 
 
 def test_planar2r_gravity_stretched(planar2r_gravity):
     g = gravity_torque(planar2r_gravity,
                        forward_kinematics(planar2r_gravity, np.zeros(2)))
-    np.testing.assert_allclose(g, [29.43, 9.81], atol=1e-9)
+    np.testing.assert_allclose(g, [29.43, 9.81], rtol=0.0, atol=1e-9)
 
 
 def gravity_fd_error(model, q, h=1e-6):
@@ -149,17 +358,17 @@ def test_coriolis_qd_matches_rnea(panda7, rng):
         C = coriolis_matrix(panda7, q, qd)
         frames = forward_kinematics(panda7, q)
         cqd_rnea = bias_forces(panda7, frames, qd) - gravity_torque(panda7, frames)
-        np.testing.assert_allclose(C @ qd, cqd_rnea, atol=1e-6)
+        np.testing.assert_allclose(C @ qd, cqd_rnea, rtol=0.0, atol=1e-6)
 
 
 def test_coriolis_vanishes_at_rest(panda7, rng):
     q = rng.uniform(-1.0, 1.0, 7)
     np.testing.assert_allclose(coriolis_matrix(panda7, q, np.zeros(7)), 0.0,
-                               atol=1e-8)
+                               rtol=0.0, atol=1e-8)
     frames = forward_kinematics(panda7, q)
     np.testing.assert_allclose(
         bias_forces(panda7, frames, np.zeros(7)) - gravity_torque(panda7, frames),
-        0.0, atol=1e-12)
+        0.0, rtol=0.0, atol=1e-12)
 
 
 def test_mdot_minus_2c_skew(panda7, rng):
@@ -187,9 +396,9 @@ def test_coriolis_transpose_identity(panda7, rng):
         drift = bias_forces(panda7, frames, qd) - mdot_qd(panda7, frames, qd)
         np.testing.assert_allclose(drift,
                                    -C.T @ qd + gravity_torque(panda7, frames),
-                                   atol=1e-5)
+                                   rtol=0.0, atol=1e-5)
         np.testing.assert_allclose(mdot_qd(panda7, frames, qd),
-                                   C @ qd + C.T @ qd, atol=1e-5)
+                                   C @ qd + C.T @ qd, rtol=0.0, atol=1e-5)
 
 
 def power_identity(model, q, qd):
@@ -246,7 +455,7 @@ def test_dynamics_terms_bundle(planar2r_gravity, rng):
     np.testing.assert_allclose(kin.bias, bias_forces(m, frames, qd))
     np.testing.assert_allclose(
         coriolis_matrix(m, q, qd) @ qd + gravity_torque(m, frames), kin.bias,
-        atol=1e-6)
+        rtol=0.0, atol=1e-6)
 
 
 def test_inverse_forward_roundtrip(panda7, rng):
@@ -256,7 +465,8 @@ def test_inverse_forward_roundtrip(panda7, rng):
         qdd = rng.uniform(-5.0, 5.0, 7)
         kin = KinState.of(panda7, q, qd)
         tau = inverse_dynamics(panda7, kin.frames, qd, qdd)
-        np.testing.assert_allclose(forward_dynamics(kin, tau), qdd, atol=1e-9)
+        np.testing.assert_allclose(forward_dynamics(kin, tau), qdd, rtol=0.0,
+                                   atol=1e-9)
 
 
 def test_forward_dynamics_equilibrium(panda7, rng):
@@ -265,17 +475,18 @@ def test_forward_dynamics_equilibrium(panda7, rng):
     qd = rng.uniform(-1.0, 1.0, 7)
     kin = KinState.of(panda7, q, qd)
     tau = bias_forces(panda7, forward_kinematics(panda7, q), qd)
-    np.testing.assert_allclose(forward_dynamics(kin, tau), 0.0, atol=1e-9)
+    np.testing.assert_allclose(forward_dynamics(kin, tau), 0.0, rtol=0.0,
+                               atol=1e-9)
 
 
 def test_forward_dynamics_external_torque(planar2r):
     kin = KinState.of(planar2r, np.zeros(2), np.zeros(2))
     qdd0 = forward_dynamics(kin, np.zeros(2))
-    np.testing.assert_allclose(qdd0, 0.0, atol=1e-12)
+    np.testing.assert_allclose(qdd0, 0.0, rtol=0.0, atol=1e-12)
     te = np.array([1.0, 0.0])
     qdd = forward_dynamics(kin, np.zeros(2), tau_ext=te)
     M = mass_matrix(planar2r, forward_kinematics(planar2r, np.zeros(2)))
-    np.testing.assert_allclose(M @ qdd, te, atol=1e-12)
+    np.testing.assert_allclose(M @ qdd, te, rtol=0.0, atol=1e-12)
 
 
 def test_pendulum_energy_conservation():
@@ -313,7 +524,7 @@ def test_task_dynamics_symmetric_lambda(panda7, rng):
     qd = rng.uniform(-1.0, 1.0, 7)
     td, damped = ee_task_dynamics(panda7, q, qd)
     assert not damped
-    np.testing.assert_allclose(td.Lam, td.Lam.T, atol=1e-9)
+    np.testing.assert_allclose(td.Lam, td.Lam.T, rtol=0.0, atol=1e-9)
     assert np.linalg.eigvalsh(td.Lam).min() > 0.0
 
 
@@ -327,7 +538,7 @@ def test_task_dynamics_rest_bias_is_projected_gravity(panda7, rng):
     Minv = np.linalg.inv(mass_matrix(panda7, frames))
     Lam = np.linalg.inv(J @ Minv @ J.T)
     expect = Lam @ J @ Minv @ gravity_torque(panda7, frames)
-    np.testing.assert_allclose(td.eta, expect, atol=1e-8)
+    np.testing.assert_allclose(td.eta, expect, rtol=0.0, atol=1e-8)
 
 
 def test_task_dynamics_scalar_task(planar2r_gravity, rng):
@@ -340,9 +551,10 @@ def test_task_dynamics_scalar_task(planar2r_gravity, rng):
     assert not damped
     frames = forward_kinematics(planar2r_gravity, q)
     Minv = np.linalg.inv(mass_matrix(planar2r_gravity, frames))
-    np.testing.assert_allclose(td.Lam, [[1.0 / Minv[0, 0]]], atol=1e-12)
+    np.testing.assert_allclose(td.Lam, [[1.0 / Minv[0, 0]]], rtol=0.0,
+                               atol=1e-12)
     expect = td.Lam @ J @ Minv @ bias_forces(planar2r_gravity, frames, qd)
-    np.testing.assert_allclose(td.eta, expect, atol=1e-12)
+    np.testing.assert_allclose(td.eta, expect, rtol=0.0, atol=1e-12)
 
 
 def test_task_dynamics_null_torque_produces_no_task_acceleration(panda7, rng):
@@ -360,11 +572,12 @@ def test_task_dynamics_null_torque_produces_no_task_acceleration(panda7, rng):
         Minv = np.linalg.inv(mass_matrix(panda7, frames))
         N = np.eye(7) - J.T @ td.Jbar.T
         np.testing.assert_allclose(N @ N, N, rtol=0.0, atol=1e-8)
-        np.testing.assert_allclose(td.Jbar.T @ N, 0.0, atol=1e-8)
-        np.testing.assert_allclose(J @ Minv @ N, 0.0, atol=1e-8)
+        np.testing.assert_allclose(td.Jbar.T @ N, 0.0, rtol=0.0, atol=1e-8)
+        np.testing.assert_allclose(J @ Minv @ N, 0.0, rtol=0.0, atol=1e-8)
         for _ in range(5):
             tau = rng.standard_normal(7)
-            np.testing.assert_allclose(J @ Minv @ (N @ tau), 0.0, atol=1e-9)
+            np.testing.assert_allclose(J @ Minv @ (N @ tau), 0.0, rtol=0.0,
+                                       atol=1e-9)
         checked += 1
     assert checked >= 20
 
@@ -394,7 +607,7 @@ def test_jacobian_dot_qd_fd_consistency(panda7, rng):
     expect = (Jp - Jm) / (2 * h) @ qd
     np.testing.assert_allclose(
         jacobian_dot_qd(panda7, forward_kinematics(panda7, q), qd), expect,
-        atol=1e-5)
+        rtol=0.0, atol=1e-5)
 
 
 def test_planar2r_jacobian_dot_qd_closed_form(planar2r, rng):

@@ -5,6 +5,7 @@ from conftest import is_rigid_transform
 from safemanip.model import (
     AUTO_DAMPING,
     body_jacobian,
+    cross_rows,
     forward_kinematics,
     geometric_jacobian,
     point_jacobian,
@@ -12,7 +13,7 @@ from safemanip.model import (
     robust_null_projector,
     robust_pinv,
 )
-from safemanip.se3 import Pose, pose_diff, se3_log, so3_exp
+from safemanip.se3 import Pose, cross3, pose_diff, se3_log, so3_exp
 
 
 def fd_jacobian(model, q, h=1e-6):
@@ -34,19 +35,22 @@ def fd_jacobian(model, q, h=1e-6):
 
 def test_planar2r_fk_stretched(planar2r):
     T = forward_kinematics(planar2r, np.zeros(2))[-1]
-    np.testing.assert_allclose(T.translation, [2.0, 0.0, 0.0], atol=1e-12)
-    np.testing.assert_allclose(T.rotation, np.eye(3), atol=1e-12)
+    np.testing.assert_allclose(T.translation, [2.0, 0.0, 0.0], rtol=0.0,
+                               atol=1e-12)
+    np.testing.assert_allclose(T.rotation, np.eye(3), rtol=0.0, atol=1e-12)
 
 
 def test_planar2r_fk_first_joint_quarter_turn(planar2r):
     T = forward_kinematics(planar2r, [np.pi / 2, 0.0])[-1]
-    np.testing.assert_allclose(T.translation, [0.0, 2.0, 0.0], atol=1e-12)
+    np.testing.assert_allclose(T.translation, [0.0, 2.0, 0.0], rtol=0.0,
+                               atol=1e-12)
 
 
 def test_planar2r_fk_elbow_bend(planar2r):
     # q2 = pi/2 folds the second link upward
     T = forward_kinematics(planar2r, [0.0, np.pi / 2])[-1]
-    np.testing.assert_allclose(T.translation, [1.0, 1.0, 0.0], atol=1e-12)
+    np.testing.assert_allclose(T.translation, [1.0, 1.0, 0.0], rtol=0.0,
+                               atol=1e-12)
 
 
 def test_fk_returns_n_plus_one_valid_poses(panda7, rng):
@@ -95,6 +99,13 @@ def test_frames_carry_read_only_world_link_arrays(robot_name, request, rng):
                 rows[0] = 0.0
 
 
+def test_cross_rows_matches_cross3_bitwise(rng):
+    a, b = rng.standard_normal((2, 200, 3)) * rng.uniform(1e-3, 1e3,
+                                                         (2, 200, 1))
+    expect = np.array([cross3(x, y) for x, y in zip(a, b)])
+    assert np.array_equal(cross_rows(a, b), expect)
+
+
 def test_fk_rejects_wrong_dimension(planar2r):
     with pytest.raises(ValueError):
         forward_kinematics(planar2r, np.zeros(3))
@@ -102,10 +113,10 @@ def test_fk_rejects_wrong_dimension(planar2r):
 
 def test_planar2r_jacobian_stretched(planar2r):
     J = geometric_jacobian(planar2r, forward_kinematics(planar2r, np.zeros(2)))
-    np.testing.assert_allclose(J[3:, 0], [0.0, 2.0, 0.0], atol=1e-12)
-    np.testing.assert_allclose(J[3:, 1], [0.0, 1.0, 0.0], atol=1e-12)
-    np.testing.assert_allclose(J[:3, 0], [0.0, 0.0, 1.0], atol=1e-12)
-    np.testing.assert_allclose(J[:3, 1], [0.0, 0.0, 1.0], atol=1e-12)
+    np.testing.assert_allclose(J[3:, 0], [0.0, 2.0, 0.0], rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(J[3:, 1], [0.0, 1.0, 0.0], rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(J[:3, 0], [0.0, 0.0, 1.0], rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(J[:3, 1], [0.0, 0.0, 1.0], rtol=0.0, atol=1e-12)
 
 
 @pytest.mark.parametrize("robot_name", ["planar2r", "planar3r", "panda7"])
@@ -114,13 +125,14 @@ def test_jacobian_matches_finite_differences(robot_name, request, rng):
     for _ in range(10):
         q = rng.uniform(-1.5, 1.5, model.n)
         J = geometric_jacobian(model, forward_kinematics(model, q))
-        np.testing.assert_allclose(J, fd_jacobian(model, q), atol=1e-5)
+        np.testing.assert_allclose(J, fd_jacobian(model, q), rtol=0.0,
+                                   atol=1e-5)
 
 
 def test_jacobian_intermediate_frame_zero_downstream(panda7, rng):
     q = rng.uniform(-1.0, 1.0, 7)
     J3 = geometric_jacobian(panda7, forward_kinematics(panda7, q), frame=3)
-    np.testing.assert_allclose(J3[:, 4:], 0.0, atol=0.0)
+    np.testing.assert_allclose(J3[:, 4:], 0.0, rtol=0.0, atol=0.0)
     assert np.linalg.norm(J3[:, :4]) > 0.0
 
 
@@ -158,7 +170,7 @@ def test_point_jacobian_world_agrees_with_local(planar3r, rng):
     world = frames[1].apply(local)
     np.testing.assert_allclose(
         point_jacobian(planar3r, frames, 1, local),
-        point_jacobian_world(planar3r, frames, 1, world), atol=1e-12)
+        point_jacobian_world(planar3r, frames, 1, world), rtol=0.0, atol=1e-12)
 
 
 def test_body_jacobian_first_order_pose_diff(request, rng):
@@ -174,35 +186,37 @@ def test_body_jacobian_first_order_pose_diff(request, rng):
                 Tm = forward_kinematics(model, q - eps * qd)[-1]
                 Tp = forward_kinematics(model, q + eps * qd)[-1]
                 np.testing.assert_allclose(pose_diff(Tm, Tp) / (2 * eps),
-                                           Jb @ qd, atol=1e-6)
+                                           Jb @ qd, rtol=0.0, atol=1e-6)
 
 
 def test_body_and_hybrid_jacobian_agree_at_identity_rotation(planar2r):
     # planar chain at q = 0 has identity EE rotation
     frames = forward_kinematics(planar2r, np.zeros(2))
     np.testing.assert_allclose(body_jacobian(planar2r, frames),
-                               geometric_jacobian(planar2r, frames), atol=1e-12)
+                               geometric_jacobian(planar2r, frames), rtol=0.0,
+                               atol=1e-12)
 
 
 def test_robust_pinv_square():
     A = np.array([[2.0, 1.0], [0.5, 3.0]])
-    np.testing.assert_allclose(robust_pinv(A), np.linalg.inv(A), atol=1e-12)
+    np.testing.assert_allclose(robust_pinv(A), np.linalg.inv(A), rtol=0.0,
+                               atol=1e-12)
 
 
 def test_robust_pinv_wide_moore_penrose(rng):
     for _ in range(20):
         J = rng.standard_normal((3, 7))
         Jp = robust_pinv(J)
-        np.testing.assert_allclose(J @ Jp @ J, J, atol=1e-9)
-        np.testing.assert_allclose(Jp @ J @ Jp, Jp, atol=1e-9)
-        np.testing.assert_allclose((J @ Jp).T, J @ Jp, atol=1e-9)
-        np.testing.assert_allclose((Jp @ J).T, Jp @ J, atol=1e-9)
+        np.testing.assert_allclose(J @ Jp @ J, J, rtol=0.0, atol=1e-9)
+        np.testing.assert_allclose(Jp @ J @ Jp, Jp, rtol=0.0, atol=1e-9)
+        np.testing.assert_allclose((J @ Jp).T, J @ Jp, rtol=0.0, atol=1e-9)
+        np.testing.assert_allclose((Jp @ J).T, Jp @ J, rtol=0.0, atol=1e-9)
 
 
 def test_robust_pinv_zero_matrix_is_zero():
     J = np.zeros((2, 3))
     Jp = robust_pinv(J)
-    np.testing.assert_allclose(Jp, 0.0, atol=1e-12)
+    np.testing.assert_allclose(Jp, 0.0, rtol=0.0, atol=1e-12)
 
 
 def test_damped_pinv_formula(rng):
@@ -220,26 +234,27 @@ def test_robust_pinv_switches_near_singularity():
     # damped inverse stays bounded: sigma/(sigma^2 + mu^2) <= 1/(2 mu)
     assert np.abs(Jp).max() < 1.0 / (2 * 1e-6) + 1.0
     # well-conditioned input falls through to the exact inverse
-    np.testing.assert_allclose(robust_pinv(np.eye(3)), np.eye(3), atol=1e-12)
+    np.testing.assert_allclose(robust_pinv(np.eye(3)), np.eye(3), rtol=0.0,
+                               atol=1e-12)
 
 
 def test_null_projector_properties(rng):
     for _ in range(20):
         J = rng.standard_normal((3, 7))
         N = robust_null_projector(J)
-        np.testing.assert_allclose(J @ N, 0.0, atol=1e-8)
-        np.testing.assert_allclose(N @ N, N, atol=1e-8)
-        np.testing.assert_allclose(N.T, N, atol=1e-8)
+        np.testing.assert_allclose(J @ N, 0.0, rtol=0.0, atol=1e-8)
+        np.testing.assert_allclose(N @ N, N, rtol=0.0, atol=1e-8)
+        np.testing.assert_allclose(N.T, N, rtol=0.0, atol=1e-8)
 
 
 def test_null_projector_square_full_rank_is_zero():
     N = robust_null_projector(np.array([[1.0, 0.2], [0.0, 1.0]]))
-    np.testing.assert_allclose(N, 0.0, atol=1e-12)
+    np.testing.assert_allclose(N, 0.0, rtol=0.0, atol=1e-12)
 
 
 def test_null_projector_row_vector():
     N = robust_null_projector(np.array([1.0, 0.0]))
-    np.testing.assert_allclose(N, np.diag([0.0, 1.0]), atol=1e-12)
+    np.testing.assert_allclose(N, np.diag([0.0, 1.0]), rtol=0.0, atol=1e-12)
 
 
 def test_robust_null_projector_rank_deficient():
@@ -247,9 +262,9 @@ def test_robust_null_projector_rank_deficient():
     N = robust_null_projector(J)  # must not raise
     # motion along (1, -1, 0) and (0, 0, 1) stays in the null space
     np.testing.assert_allclose(J @ N @ np.array([1.0, -1.0, 0.0]), 0.0,
-                               atol=1e-6)
+                               rtol=0.0, atol=1e-6)
     np.testing.assert_allclose(N @ np.array([0.0, 0.0, 1.0]),
-                               [0.0, 0.0, 1.0], atol=1e-6)
+                               [0.0, 0.0, 1.0], rtol=0.0, atol=1e-6)
 
 
 def test_null_space_motion_keeps_ee_still(panda7, rng):
@@ -259,4 +274,4 @@ def test_null_space_motion_keeps_ee_still(panda7, rng):
         J = geometric_jacobian(panda7, forward_kinematics(panda7, q))
         N = robust_null_projector(J)
         qd = N @ rng.standard_normal(7)
-        np.testing.assert_allclose(J @ qd, 0.0, atol=1e-8)
+        np.testing.assert_allclose(J @ qd, 0.0, rtol=0.0, atol=1e-8)

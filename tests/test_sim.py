@@ -1,22 +1,22 @@
 """Golden closed-loop runs: two short panda7 scenarios whose logs must stay
 byte-identical.
 
-The hashes were recorded on the commit after 587b8bd that fixed ``se3_log``
-near angles 0 and pi (``atan2`` angle, symmetric-part axis past pi/2, series
-inverse left Jacobian below 0.1 rad) and solved every body-obstacle pair of a
-distance sweep in one batched call of the closest-point kernel.  The previous
-hashes (push ``f092b18f...``/``aee1c249...``, noise ``8ec04358...``/
-``8b94c6c4...``) were recorded on the commit after aef4729 and still hold on
-587b8bd.  They changed by roundoff only: over both runs the logged torques
-move by at most 3.4e-10 N m (on the tick that enters CONTACT_SAFE), the
-torque estimate by at most 1.1e-14 N m, the joint angles by at most 3.6e-15
-rad, the logged distances by at most 1.4e-15 m and the plan cost by at most
-7.3e-14; the QP iteration counts, the mode timeline and the detections are
-unchanged.  The two golden tests use only ``scenario_from_dict`` and
-``sim.run``, so they run unchanged against older commits, where they report
-the previous hashes::
+The hashes were recorded on the commit after 4819460 that wrote forward
+kinematics, M(q), Newton-Euler, ``mdot_qd`` and ``jacobian_dot_qd`` as
+prefix sums of spatial vectors at the world origin.  The previous hashes
+(push ``50f3a721...``/``b3f95bd1...``, noise ``4b3863bb...``/
+``82427575...``) were recorded on the commit after 587b8bd and still hold on
+4819460.  They changed by roundoff only: over both runs the logged torques
+move by at most 7.7e-13 N m, the torque estimate by at most 1.4e-14 N m, the
+joint angles by at most 1.1e-15 rad, the joint rates by at most 5.0e-14
+rad/s, the logged distances by at most 2.8e-16 m and the plan cost by at most
+9.7e-15 relative; the mode timeline, the contact links, the detections and
+the solve statuses are unchanged, and one QP iteration count of the push run
+moves (65 to 63 at t = 0.05 s), as active-set paths do on roundoff.  The two
+golden tests use only ``scenario_from_dict`` and ``sim.run``, so they run
+unchanged against older commits, where they report the previous hashes::
 
-    git clone <repo> parent && git -C parent checkout 587b8bd
+    git clone <repo> parent && git -C parent checkout 4819460
     PYTHONPATH=parent/src python -m pytest -q tests/test_sim.py -k golden
 
 A refactor that changes no arithmetic must leave them unchanged; a change that
@@ -61,11 +61,11 @@ NOISE = dict(_BASE, name="golden-noise", duration=0.1, seed=7,
 
 GOLDEN = {
     "golden-push": (
-        "50f3a7217826f489b3b8365b7f7ec12262c5dad5439bd2b843cc9819fc0ff070",
-        "b3f95bd1a390a7b992e24f69c2fcdcdd95131085ac3962109ccbf469a2c0a47c"),
+        "f10f0bfb84f7e66391d0258a1a1486fd906250854e94549b6b18c7c437ea2eb0",
+        "128dcfd8683007b7aff227f2c046f84009cc48715d445c9e35fcf0f7e3963ddc"),
     "golden-noise": (
-        "4b3863bb6b58705aca3578ccf979f7d7065b3f6868c035963d6fd35a47c0dc70",
-        "82427575c50d165be31bfa600e4f305a1e5563c9f628eb79075177ff6d9d4d98"),
+        "64ac8619a01837000fd7759f77b5230354e1e1a6c79ef5662f857fd47c6c82f8",
+        "cb8ccb907ae2a7e89a1f8f599ab0a72f407e9998425e54ee5c74c4716261120b"),
 }
 
 

@@ -228,8 +228,3 @@ def forward_dynamics(kin: KinState, tau, tau_ext=None) -> np.ndarray:
     tau = np.asarray(tau, dtype=float).reshape(-1)
     total = tau if tau_ext is None else tau + np.asarray(tau_ext, dtype=float).reshape(-1)
     return np.linalg.solve(kin.M, total - kin.bias)
-
-
-def potential_energy(model: RobotModel, q) -> float:
-    weighted = forward_kinematics(model, q).coms * model.masses[:, None]
-    return -float(np.sum(weighted * model.gravity[None, :], axis=(0, 1)))

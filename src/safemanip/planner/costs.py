@@ -1,8 +1,15 @@
-"""Cost terms of the receding-horizon problem.
+"""Measurement-frozen data of the receding-horizon cost.
 
-Everything nonlinear (pose error, Jacobians, distances) is frozen at the
-measurement, so every term below is an exact quadratic in the decision
-variables and the transcribed problem is a convex QP.
+``build_context`` freezes everything nonlinear (pose error, Jacobians,
+distances) at the measurement, so with J and q fixed stage k costs::
+
+    |V_ref - J (q_k - q)|^2_W_stage + sum_t |N_t (qd_k - t)|^2_Q_rep
+    + |N_t (qd_k - qd_return)|^2_Q_return + |qd_k|^2_Q_s + |u_k|^2_R
+
+over the repulsion targets t (the return term only with a posture target),
+and node N costs |V_ref - J (q_N - q)|^2_W_terminal + |qd_N|^2_Q_s_terminal.
+Every term is an exact quadratic, so ``transcription._cost`` writes the sum
+as 0.5 z'Hz + g'z + c and the transcribed problem is a convex QP.
 """
 
 import logging
@@ -28,19 +35,6 @@ from ..model import (
 from ..se3 import Pose, pose_diff
 
 log = logging.getLogger(__name__)
-
-
-def reference_twist(T_now: Pose, T_ref: Pose) -> np.ndarray:
-    """Log of the relative transform from the measured to the reference pose,
-    held fixed across the horizon."""
-    return pose_diff(T_now, T_ref)
-
-
-def predicted_twist(J_now: np.ndarray, q_k, q_now) -> np.ndarray:
-    """Linearized twist J(q)(q_k - q) with J and q frozen at the measurement."""
-    q_k = np.asarray(q_k, dtype=float).reshape(-1)
-    q_now = np.asarray(q_now, dtype=float).reshape(-1)
-    return np.asarray(J_now) @ (q_k - q_now)
 
 
 def relaxation_factor(d: float, cfg) -> float:
@@ -126,7 +120,7 @@ def build_context(model: RobotModel, q, qd, T_ref: Pose,
     fk = forward_kinematics(model, q)
     T_now = fk[-1]
     J_task = body_jacobian(model, fk)
-    V_ref = reference_twist(T_now, T_ref)
+    V_ref = pose_diff(T_now, T_ref)
     N_t = robust_null_projector(J_task)
 
     sweep = closest_pair_per_link(model, q, obstacles, fk=fk)
@@ -172,54 +166,3 @@ def build_context(model: RobotModel, q, qd, T_ref: Pose,
         Q_rep=q_rep, Q_s=q_s, Q_s_terminal=np.full(model.n, cfg.q_s_terminal),
         R=r, repulsions=tuple(repulsions), distance_rows=tuple(rows),
         qd_return=qd_return, Q_return=Q_return)
-
-
-def _split(x, n):
-    x = np.asarray(x, dtype=float).reshape(-1)
-    return x[:n], x[n:]
-
-
-def stage_cost(x_k, u_k, context: PlannerContext) -> float:
-    """Tracking + repulsion + smoothness + input effort for one node."""
-    n = context.q.size
-    q_k, qd_k = _split(x_k, n)
-    u_k = np.asarray(u_k, dtype=float).reshape(-1)
-    e_ee = context.V_ref - predicted_twist(context.J_task, q_k, context.q)
-    cost = float(e_ee @ (context.W_stage * e_ee))
-    for rep in context.repulsions:
-        e = context.N_t @ (qd_k - rep.qd_target)
-        cost += float(e @ (context.Q_rep * e))
-    if context.qd_return is not None:
-        e = context.N_t @ (qd_k - context.qd_return)
-        cost += float(e @ (context.Q_return * e))
-    cost += float(qd_k @ (context.Q_s * qd_k))
-    cost += float(u_k @ (context.R * u_k))
-    return cost
-
-
-def terminal_cost(x_N, context: PlannerContext) -> float:
-    """Tracking + smoothness with the terminal weights; no input or
-    repulsion terms."""
-    n = context.q.size
-    q_N, qd_N = _split(x_N, n)
-    e_ee = context.V_ref - predicted_twist(context.J_task, q_N, context.q)
-    cost = float(e_ee @ (context.W_terminal * e_ee))
-    cost += float(qd_N @ (context.Q_s_terminal * qd_N))
-    return cost
-
-
-def shooting_defects(X, U, dt: float) -> list:
-    """Gaps between each shooting state and the explicit-Euler prediction
-    from its predecessor."""
-    X = np.asarray(X, dtype=float)
-    U = np.asarray(U, dtype=float)
-    if X.shape[0] != U.shape[0] + 1:
-        raise ValueError(f"need N+1 states for N inputs, got {X.shape[0]} "
-                         f"states and {U.shape[0]} inputs")
-    n = X.shape[1] // 2
-    defects = []
-    for k in range(U.shape[0]):
-        q_k, qd_k = X[k, :n], X[k, n:]
-        pred = np.concatenate([q_k + dt * qd_k, qd_k + dt * U[k]])
-        defects.append(X[k + 1] - pred)
-    return defects

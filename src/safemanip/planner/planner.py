@@ -9,7 +9,6 @@ import numpy as np
 from ..model import RobotModel
 from ..se3 import Pose
 from .config import MpcConfig
-from .costs import shooting_defects, stage_cost, terminal_cost
 from .qp import feasibility_error, make_feasible, solve_qp
 from .transcription import MpcProblem, PlannerInput, transcribe
 
@@ -18,6 +17,11 @@ log = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class MpcSolution:
+    """A plan read off the QP it solved: ``cost`` = 0.5 z'Hz + g'z + c,
+    ``max_defect`` the equality residual (0 in single shooting),
+    ``min_predicted_distance`` d_th1 plus the least distance-row slack (the
+    least linearized clearance of nodes 2..N; inf without distance rows)."""
+
     X: np.ndarray
     U: np.ndarray
     cost: float
@@ -28,37 +32,20 @@ class MpcSolution:
     status: str
 
 
-def _linearized_min_distance(problem: MpcProblem, X: np.ndarray) -> float:
-    ctx = problem.context
-    if not ctx.distance_rows:
-        return np.inf
-    n = problem.n
-    best = np.inf
-    for row in ctx.distance_rows:
-        for k in range(2, problem.N + 1):
-            d = row.distance + float(row.gradient @ (X[k, :n] - ctx.q))
-            if d < best:
-                best = d
-    return best
-
-
 def _evaluate(problem: MpcProblem, z: np.ndarray, iterations: int,
               status: str, cfg: MpcConfig) -> MpcSolution:
     X, U = problem.split(z)
-    ctx = problem.context
-    cost = sum(stage_cost(X[k], U[k], ctx) for k in range(problem.N))
-    cost += terminal_cost(X[problem.N], ctx)
-    defects = shooting_defects(X, U, problem.dt)
-    max_defect = max((float(np.abs(d).max()) for d in defects), default=0.0)
-    min_pred = _linearized_min_distance(problem, X)
-    _, in_viol = feasibility_error(problem.A_eq, problem.b_eq,
-                                   problem.A_in, problem.b_in, z)
+    cost = 0.5 * z @ (problem.H @ z) + problem.g @ z + problem.cost_offset
+    max_defect, in_viol = feasibility_error(problem.A_eq, problem.b_eq,
+                                            problem.A_in, problem.b_in, z)
+    m = problem.n_distance_rows  # the distance rows come last
+    min_pred = (cfg.d_th1 + float((problem.A_in[-m:] @ z - problem.b_in[-m:]).min())
+                if m else np.inf)
     converged = (status == "optimal"
                  and max_defect <= cfg.defect_tol
-                 and in_viol <= cfg.constraint_tol
-                 and min_pred >= cfg.d_th1 - cfg.constraint_tol)
+                 and in_viol <= cfg.constraint_tol)
     return MpcSolution(X=X, U=U, cost=float(cost), max_defect=max_defect,
-                       min_predicted_distance=float(min_pred),
+                       min_predicted_distance=min_pred,
                        iterations=iterations, converged=converged,
                        status=status)
 

@@ -53,6 +53,7 @@ class MpcProblem:
     context: PlannerContext
     H: object
     g: np.ndarray
+    cost_offset: float  # c in the plan's cost 0.5 z'Hz + g'z + c
     A_eq: object
     b_eq: Optional[np.ndarray]
     A_in: object
@@ -165,21 +166,24 @@ def _place(groups, n: int, N: int):
 
 
 def _cost(ctx: PlannerContext, N: int):
-    """Block-diagonal H and g over the node layout (cost = 0.5 z'Hz + g'z +
-    const)."""
+    """Block-diagonal H, g and the constant c over the node layout: the cost
+    of the plan z is 0.5 z'Hz + g'z + c.  Each term |b - A x|^2_W of the
+    horizon sum contributes A'WA to H/2, -A'Wb to g/2 and b'Wb to c."""
     n = ctx.q.size
     J = ctx.J_task
     b_ee = ctx.V_ref + J @ ctx.q
     Pv_stage = 2.0 * np.diag(ctx.Q_s)
     gv_stage = np.zeros(n)
-    for rep in ctx.repulsions:
-        NQ = ctx.N_t.T * ctx.Q_rep
-        Pv_stage += 2.0 * NQ @ ctx.N_t
-        gv_stage += -2.0 * NQ @ (ctx.N_t @ rep.qd_target)
+    c_stage = float(b_ee @ (ctx.W_stage * b_ee))
+    targets = [(rep.qd_target, ctx.Q_rep) for rep in ctx.repulsions]
     if ctx.qd_return is not None:
-        NQ = ctx.N_t.T * ctx.Q_return
+        targets.append((ctx.qd_return, ctx.Q_return))
+    for target, Q in targets:
+        NQ = ctx.N_t.T * Q
+        Nt = ctx.N_t @ target
         Pv_stage += 2.0 * NQ @ ctx.N_t
-        gv_stage += -2.0 * NQ @ (ctx.N_t @ ctx.qd_return)
+        gv_stage += -2.0 * NQ @ Nt
+        c_stage += float(Nt @ (Q * Nt))
     stage = scipy.linalg.block_diag(
         2.0 * (J.T * ctx.W_stage) @ J, Pv_stage, 2.0 * np.diag(ctx.R))
     terminal = scipy.linalg.block_diag(
@@ -189,7 +193,7 @@ def _cost(ctx: PlannerContext, N: int):
                               np.zeros(n)])
     g = np.concatenate([np.tile(g_stage, N),
                         -2.0 * J.T @ (ctx.W_terminal * b_ee), np.zeros(n)])
-    return H, g
+    return H, g, N * c_stage + float(b_ee @ (ctx.W_terminal * b_ee))
 
 
 def _equality_rows(x0: np.ndarray, N: int, dt: float):
@@ -279,7 +283,7 @@ def transcribe(inp: PlannerInput, cfg: MpcConfig, model: RobotModel) -> MpcProbl
     x0 = _clamp_state(model, inp.x0, dt)
     ctx = build_context(model, x0[:n], x0[n:], inp.T_ref, inp.obstacles, cfg,
                         posture_target=inp.posture_target)
-    H, g = _cost(ctx, N)
+    H, g, c = _cost(ctx, N)
     A_eq, b_eq = _equality_rows(x0, N, dt)
     A_in, b_in, slack_rows = _inequality_rows(model, cfg, ctx)
     lift = None
@@ -288,13 +292,16 @@ def transcribe(inp: PlannerInput, cfg: MpcConfig, model: RobotModel) -> MpcProbl
         # drops out and the cost and rows condense onto u
         T, S = lift = _lift(n, N, dt)
         z_free = T @ x0
-        g = S.T @ (H @ z_free + g)
+        Hz = H @ z_free
+        c += float(z_free @ (0.5 * Hz + g))
+        g = S.T @ (Hz + g)
         H = S.T @ (H @ S)
         H = 0.5 * (H + H.T)  # symmetrize roundoff
         A_in, b_in = A_in @ S, b_in - A_in @ z_free
         A_eq = b_eq = None
     problem = MpcProblem(method=cfg.method, n=n, N=N, dt=dt, context=ctx,
-                         H=H, g=g, A_eq=A_eq, b_eq=b_eq, A_in=A_in, b_in=b_in,
+                         H=H, g=g, cost_offset=c, A_eq=A_eq, b_eq=b_eq,
+                         A_in=A_in, b_in=b_in,
                          z0=None, z0_feasible=False, slack_rows=slack_rows,
                          n_distance_rows=len(ctx.distance_rows) * (N - 1),
                          x0=x0, lift=lift)

@@ -239,7 +239,7 @@ class TestUsde:
         hist, tau_ext = self._static_step_response(planar2r_gravity, 0.2,
                                                    1e-3, 1000)
         assert np.abs(hist[-1] - tau_ext).max() / 2.0 < 0.02
-        np.testing.assert_allclose(hist[-1][1], 0.0, atol=1e-9)
+        np.testing.assert_allclose(hist[-1][1], 0.0, rtol=0.0, atol=1e-9)
 
     def test_lag_is_first_order_and_scales_with_k(self, planar2r_gravity):
         level = (1.0 - np.exp(-1.0)) * 2.0
@@ -326,7 +326,7 @@ class TestDetection:
         null = Vt[3:]
         r = null[np.argmax(np.abs(null[:, link]))]
         r = r * (4.0 / abs(r[link]))
-        np.testing.assert_allclose(Jc @ r, 0.0, atol=1e-9)
+        np.testing.assert_allclose(Jc @ r, 0.0, rtol=0.0, atol=1e-9)
         with caplog.at_level(logging.WARNING, logger="safemanip.controller"):
             info, norm = isolate_contact(panda7, at_rest(panda7, q), r, 3.0,
                                          0.0, None)
@@ -389,7 +389,7 @@ class TestReducedContactJacobian:
         np.testing.assert_allclose(norm, 20.0, rtol=1e-9)
         angle = np.degrees(np.arccos(np.clip(n_c @ (F / 20.0), -1.0, 1.0)))
         assert angle < 5.0
-        np.testing.assert_allclose(n_c, F / 20.0, atol=1e-9)
+        np.testing.assert_allclose(n_c, F / 20.0, rtol=0.0, atol=1e-9)
 
     def test_scalar_velocity_consistency(self, panda7):
         # J_tilde qd equals the witness-point velocity along n_c, with the
@@ -406,7 +406,7 @@ class TestReducedContactJacobian:
         pp = forward_kinematics(m, q + h * qd)[link + 1].translation
         pm = forward_kinematics(m, q - h * qd)[link + 1].translation
         v_fd = (pp - pm) / (2.0 * h)
-        np.testing.assert_allclose(J_tilde @ qd, n_c @ v_fd, atol=1e-6)
+        np.testing.assert_allclose(J_tilde @ qd, n_c @ v_fd, rtol=0.0, atol=1e-6)
 
     def test_zero_estimate_has_no_direction(self, panda7):
         q = np.array([0.0, -0.6, 0.0, -2.0, 0.0, 1.6, 0.8])
@@ -434,7 +434,7 @@ class TestContactSafeTorque:
                                           info, np.zeros(7), GainSet.default(7),
                                           0.0)
         assert not damped
-        np.testing.assert_allclose(tau, J.T @ td.eta, atol=1e-10)
+        np.testing.assert_allclose(tau, J.T @ td.eta, rtol=0.0, atol=1e-10)
 
     def test_reaction_is_invisible_to_task(self, panda7, rng):
         # the projected drive must not show up through the consistent inverse

@@ -12,7 +12,6 @@ from safemanip.dynamics import (
     jacobian_dot_qd,
     mass_matrix,
     mdot_qd,
-    potential_energy,
     task_dynamics_from_jacobian,
 )
 from safemanip.model import Joint, body_jacobian, forward_kinematics
@@ -286,6 +285,12 @@ def test_planar2r_gravity_stretched(planar2r_gravity):
     g = gravity_torque(planar2r_gravity,
                        forward_kinematics(planar2r_gravity, np.zeros(2)))
     np.testing.assert_allclose(g, [29.43, 9.81], rtol=0.0, atol=1e-9)
+
+
+def potential_energy(model, q):
+    """Gravitational potential -sum_i m_i g . c_i of the link COMs c_i."""
+    weighted = forward_kinematics(model, q).coms * model.masses[:, None]
+    return -float(np.sum(weighted * model.gravity[None, :], axis=(0, 1)))
 
 
 def gravity_fd_error(model, q, h=1e-6):

@@ -25,18 +25,18 @@ def at(xyz):
 def test_sphere_sphere_example():
     res = min_distance(Sphere(0.2), at([0, 0, 0]), Sphere(0.3), at([0, 0, 1]))
     assert res.distance == pytest.approx(0.5, abs=1e-12)
-    np.testing.assert_allclose(res.normal, [0.0, 0.0, -1.0], atol=1e-12)
-    np.testing.assert_allclose(res.p_robot, [0.0, 0.0, 0.2], atol=1e-12)
-    np.testing.assert_allclose(res.p_obstacle, [0.0, 0.0, 0.7], atol=1e-12)
+    np.testing.assert_allclose(res.normal, [0.0, 0.0, -1.0], rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(res.p_robot, [0.0, 0.0, 0.2], rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(res.p_obstacle, [0.0, 0.0, 0.7], rtol=0.0, atol=1e-12)
 
 
 def test_sphere_sphere_penetration():
     res = min_distance(Sphere(0.5), at([0, 0, 0]), Sphere(0.5), at([0.8, 0, 0]))
     assert res.distance == pytest.approx(-0.2, abs=1e-12)
     # witnesses are the deepest points, still along the center line
-    np.testing.assert_allclose(res.normal, [-1.0, 0.0, 0.0], atol=1e-12)
-    np.testing.assert_allclose(res.p_robot, [0.5, 0.0, 0.0], atol=1e-12)
-    np.testing.assert_allclose(res.p_obstacle, [0.3, 0.0, 0.0], atol=1e-12)
+    np.testing.assert_allclose(res.normal, [-1.0, 0.0, 0.0], rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(res.p_robot, [0.5, 0.0, 0.0], rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(res.p_obstacle, [0.3, 0.0, 0.0], rtol=0.0, atol=1e-12)
 
 
 def test_concentric_spheres_fallback_normal():
@@ -50,7 +50,7 @@ def test_parallel_capsules_example():
     b = Capsule(0.1, np.array([0.0, 0.0, 0.0]), np.array([1.0, 0.0, 0.0]))
     res = min_distance(a, at([0, 0, 0]), b, at([0, 1, 0]))
     assert res.distance == pytest.approx(0.8, abs=1e-12)
-    np.testing.assert_allclose(res.normal, [0.0, -1.0, 0.0], atol=1e-12)
+    np.testing.assert_allclose(res.normal, [0.0, -1.0, 0.0], rtol=0.0, atol=1e-12)
 
 
 def test_capsule_sphere_beyond_endpoint():
@@ -58,7 +58,7 @@ def test_capsule_sphere_beyond_endpoint():
     cap = Capsule(0.1, np.array([0.0, 0.0, 0.0]), np.array([1.0, 0.0, 0.0]))
     res = min_distance(cap, Pose.identity(), Sphere(0.2), at([2.0, 0.0, 0.0]))
     assert res.distance == pytest.approx(1.0 - 0.3, abs=1e-12)
-    np.testing.assert_allclose(res.p_robot, [1.1, 0.0, 0.0], atol=1e-12)
+    np.testing.assert_allclose(res.p_robot, [1.1, 0.0, 0.0], rtol=0.0, atol=1e-12)
 
 
 def test_crossed_capsules():
@@ -161,7 +161,7 @@ def test_segment_closest_points_nearly_parallel_crossing_inside():
     p2, q2 = np.array([-1.0, -1e-5, 0.0]), np.array([1.0, 1e-5, 0.0])
     c1, c2 = _segment_closest_points(p1, q1, p2, q2)
     assert np.linalg.norm(c1 - c2) <= 1e-12
-    np.testing.assert_allclose(c1, 0.0, atol=1e-12)
+    np.testing.assert_allclose(c1, 0.0, rtol=0.0, atol=1e-12)
 
 
 def test_segment_closest_points_parallel_overlap_starts_at_p1():
@@ -181,7 +181,7 @@ def test_distance_symmetry(rng):
         r1 = min_distance(sa, pa, cb, pb)
         r2 = min_distance(cb, pb, sa, pa)
         assert r1.distance == pytest.approx(r2.distance, abs=1e-12)
-        np.testing.assert_allclose(r1.normal, -r2.normal, atol=1e-9)
+        np.testing.assert_allclose(r1.normal, -r2.normal, rtol=0.0, atol=1e-9)
 
 
 def test_witness_gap_equals_distance_when_separated(rng):
@@ -195,7 +195,7 @@ def test_witness_gap_equals_distance_when_separated(rng):
         assert gap == pytest.approx(res.distance, abs=1e-9)
         # normal points from the obstacle witness toward the robot witness
         np.testing.assert_allclose(
-            res.normal, (res.p_robot - res.p_obstacle) / gap, atol=1e-9)
+            res.normal, (res.p_robot - res.p_obstacle) / gap, rtol=0.0, atol=1e-9)
 
 
 def test_capsule_needs_distinct_endpoints():

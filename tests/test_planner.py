@@ -8,26 +8,19 @@ import scipy.sparse as sp
 
 from safemanip.geometry import DistanceResult, Obstacle, Sphere, closest_pair_per_link
 from safemanip.model import body_jacobian, forward_kinematics, robust_null_projector
-from safemanip.planner import (
-    MpcConfig,
-    Planner,
+from safemanip.planner import qp
+from safemanip.planner.config import MpcConfig
+from safemanip.planner.costs import build_context, relaxation_factor, repulsive_velocity
+from safemanip.planner.planner import MpcSolution, Planner, solve
+from safemanip.planner.qp import make_feasible, solve_qp
+from safemanip.planner.transcription import (
     PlannerInput,
-    build_context,
-    predicted_twist,
-    reference_twist,
-    relaxation_factor,
-    repulsive_velocity,
-    shooting_defects,
-    solve,
-    stage_cost,
-    terminal_cost,
+    _braking_inputs,
+    _rollout,
+    _warm_inputs,
     transcribe,
 )
-from safemanip.planner import qp
-from safemanip.planner.planner import MpcSolution
-from safemanip.planner.qp import make_feasible, solve_qp
-from safemanip.planner.transcription import _braking_inputs, _rollout, _warm_inputs
-from safemanip.se3 import Pose
+from safemanip.se3 import Pose, pose_diff
 
 
 def ball(center, radius=0.1, name="ball"):
@@ -43,22 +36,100 @@ def pair_result(d, normal=(0.0, 0.0, 1.0)):
                           normal=n, link=0, body_index=0, obstacle_index=0)
 
 
+# per-node oracle: the cost, shooting defects and linearized clearance of a
+# plan summed node by node, independent of the QP's H, g, c and rows
+
+
+def _split(x, n):
+    x = np.asarray(x, dtype=float).reshape(-1)
+    return x[:n], x[n:]
+
+
+def predicted_twist(J_now, q_k, q_now):
+    """Linearized twist J(q)(q_k - q) with J and q frozen at the measurement."""
+    q_k = np.asarray(q_k, dtype=float).reshape(-1)
+    q_now = np.asarray(q_now, dtype=float).reshape(-1)
+    return np.asarray(J_now) @ (q_k - q_now)
+
+
+def stage_cost(x_k, u_k, context):
+    """Tracking + repulsion + smoothness + input effort for one node."""
+    n = context.q.size
+    q_k, qd_k = _split(x_k, n)
+    u_k = np.asarray(u_k, dtype=float).reshape(-1)
+    e_ee = context.V_ref - predicted_twist(context.J_task, q_k, context.q)
+    cost = float(e_ee @ (context.W_stage * e_ee))
+    for rep in context.repulsions:
+        e = context.N_t @ (qd_k - rep.qd_target)
+        cost += float(e @ (context.Q_rep * e))
+    if context.qd_return is not None:
+        e = context.N_t @ (qd_k - context.qd_return)
+        cost += float(e @ (context.Q_return * e))
+    cost += float(qd_k @ (context.Q_s * qd_k))
+    cost += float(u_k @ (context.R * u_k))
+    return cost
+
+
+def terminal_cost(x_N, context):
+    """Tracking + smoothness with the terminal weights; no input or
+    repulsion terms."""
+    n = context.q.size
+    q_N, qd_N = _split(x_N, n)
+    e_ee = context.V_ref - predicted_twist(context.J_task, q_N, context.q)
+    cost = float(e_ee @ (context.W_terminal * e_ee))
+    cost += float(qd_N @ (context.Q_s_terminal * qd_N))
+    return cost
+
+
+def shooting_defects(X, U, dt):
+    """Gaps between each shooting state and the explicit-Euler prediction
+    from its predecessor."""
+    X = np.asarray(X, dtype=float)
+    U = np.asarray(U, dtype=float)
+    if X.shape[0] != U.shape[0] + 1:
+        raise ValueError(f"need N+1 states for N inputs, got {X.shape[0]} "
+                         f"states and {U.shape[0]} inputs")
+    n = X.shape[1] // 2
+    defects = []
+    for k in range(U.shape[0]):
+        q_k, qd_k = X[k, :n], X[k, n:]
+        pred = np.concatenate([q_k + dt * qd_k, qd_k + dt * U[k]])
+        defects.append(X[k + 1] - pred)
+    return defects
+
+
+def linearized_min_distance(problem, X):
+    """Least linearized distance d + grad (q_k - q) over the distance rows
+    and nodes 2..N (inf without rows)."""
+    ctx = problem.context
+    if not ctx.distance_rows:
+        return np.inf
+    n = problem.n
+    best = np.inf
+    for row in ctx.distance_rows:
+        for k in range(2, problem.N + 1):
+            d = row.distance + float(row.gradient @ (X[k, :n] - ctx.q))
+            if d < best:
+                best = d
+    return best
+
+
 # cost terms
 
 
 def test_reference_twist_pure_translation():
     T_now = Pose.identity()
     T_ref = Pose(translation=np.array([0.3, -0.1, 0.2]))
-    V = reference_twist(T_now, T_ref)
-    np.testing.assert_allclose(V[:3], 0.0, atol=1e-12)
-    np.testing.assert_allclose(V[3:], [0.3, -0.1, 0.2], atol=1e-12)
+    V = pose_diff(T_now, T_ref)
+    np.testing.assert_allclose(V[:3], 0.0, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(V[3:], [0.3, -0.1, 0.2], rtol=0.0, atol=1e-12)
 
 
 def test_reference_twist_pure_rotation():
     T_ref = Pose.from_rpy((0.0, 0.0, 0.0), (0.0, 0.0, 0.4))
-    V = reference_twist(Pose.identity(), T_ref)
-    np.testing.assert_allclose(V[:3], [0.0, 0.0, 0.4], atol=1e-12)
-    np.testing.assert_allclose(V[3:], 0.0, atol=1e-12)
+    V = pose_diff(Pose.identity(), T_ref)
+    np.testing.assert_allclose(V[:3], [0.0, 0.0, 0.4], rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(V[3:], 0.0, rtol=0.0, atol=1e-12)
 
 
 def test_predicted_twist_matches_jacobian_product(planar2r):
@@ -74,7 +145,8 @@ def test_predicted_twist_null_motion_is_zero(panda7, rng):
     J = body_jacobian(panda7, forward_kinematics(panda7, q))
     N = robust_null_projector(J)
     step = N @ rng.standard_normal(panda7.n)
-    np.testing.assert_allclose(predicted_twist(J, q + step, q), 0.0, atol=1e-12)
+    np.testing.assert_allclose(predicted_twist(J, q + step, q), 0.0,
+                               rtol=0.0, atol=1e-12)
 
 
 def test_relaxation_factor_outside_band_is_one():
@@ -100,7 +172,7 @@ def test_relaxation_factor_monotone():
 def test_repulsive_velocity_inside_band():
     cfg = MpcConfig(k_rep=1.0)
     v = repulsive_velocity(pair_result(0.06), cfg)
-    np.testing.assert_allclose(v, [0.0, 0.0, 0.04], atol=1e-12)
+    np.testing.assert_allclose(v, [0.0, 0.0, 0.04], rtol=0.0, atol=1e-12)
 
 
 def test_repulsive_velocity_saturates_below_inner_threshold():
@@ -144,7 +216,7 @@ def test_repulsive_cost_annihilated_in_task_range(panda7, rng):
     qd = np.linalg.pinv(ctx.J_task) @ rng.standard_normal(6)
     shifted = stage_cost(np.concatenate([q, qd]), u, ctx)
     assert base > 0.0
-    np.testing.assert_allclose(shifted, base, atol=1e-9)
+    np.testing.assert_allclose(shifted, base, rtol=0.0, atol=1e-9)
 
 
 def test_stage_cost_hand_recomputation(planar2r):
@@ -204,7 +276,7 @@ def test_shooting_defects_zero_on_rollout(rng):
                 X[k + 1, :n] = X[k, :n] + dt * X[k, n:]
                 X[k + 1, n:] = X[k, n:] + dt * U[k]
             for d in shooting_defects(X, U, dt):
-                np.testing.assert_allclose(d, 0.0, atol=1e-15)
+                np.testing.assert_allclose(d, 0.0, rtol=0.0, atol=1e-15)
 
 
 def test_shooting_defects_localized():
@@ -270,7 +342,7 @@ def test_qp_unconstrained_matches_normal_equations(rng):
     b_in = np.full(n, -100.0)  # inactive box
     res = solve_qp(H, g, None, None, A_in, b_in, np.zeros(n))
     assert res.status == "optimal"
-    np.testing.assert_allclose(res.z, np.linalg.solve(H, -g), atol=1e-8)
+    np.testing.assert_allclose(res.z, np.linalg.solve(H, -g), rtol=0.0, atol=1e-8)
     assert res.working_set == ()
 
 
@@ -282,7 +354,7 @@ def test_qp_equality_constrained_oracle(rng):
     res = solve_qp(H, np.zeros(n), A_eq, np.array([1.0]), None, None,
                    np.array([1.0, 0.0, 0.0, 0.0]))
     assert res.status == "optimal"
-    np.testing.assert_allclose(res.z, np.full(n, 0.25), atol=1e-9)
+    np.testing.assert_allclose(res.z, np.full(n, 0.25), rtol=0.0, atol=1e-9)
     # random equality-only QPs against the KKT system solved densely
     for _ in range(20):
         n = int(rng.integers(4, 12))
@@ -308,7 +380,7 @@ def test_qp_active_box():
     b_in = np.array([-1.0])
     res = solve_qp(H, g, None, None, A_in, b_in, np.array([0.0]))
     assert res.status == "optimal"
-    np.testing.assert_allclose(res.z, [1.0], atol=1e-10)
+    np.testing.assert_allclose(res.z, [1.0], rtol=0.0, atol=1e-10)
     assert res.working_set == (0,)
 
 
@@ -333,7 +405,8 @@ def test_qp_random_boxes_match_projection(rng):
         b_in = np.concatenate([np.full(n, -1.0), np.full(n, -1.0)])  # |z| <= 1
         res = solve_qp(H, g, None, None, A_in, b_in, np.zeros(n))
         assert res.status == "optimal"
-        np.testing.assert_allclose(res.z, np.clip(target, -1.0, 1.0), atol=1e-8)
+        np.testing.assert_allclose(res.z, np.clip(target, -1.0, 1.0),
+                                   rtol=0.0, atol=1e-8)
 
 
 def _enumerated_qp_optimum(H, g, A_eq, b_eq, A_in, b_in):
@@ -466,7 +539,7 @@ def test_qp_large_working_set_matches_projection(form, monkeypatch):
     res = solve_qp(form(np.diag(2.0 * d)), -2.0 * d * target, None, None,
                    form(A_in), np.full(2 * n, -1.0), np.zeros(n))
     assert res.status == "optimal"
-    np.testing.assert_allclose(res.z, np.clip(target, -1.0, 1.0), atol=1e-8)
+    np.testing.assert_allclose(res.z, np.clip(target, -1.0, 1.0), rtol=0.0, atol=1e-8)
     assert len(res.working_set) == n_out
     assert counts == {"solve": 1 + n_out, "_factor": 1, "add": n_out}
 
@@ -577,15 +650,100 @@ def test_single_shooting_is_condensed_multiple_shooting(panda7, rng):
         U = rng.uniform(-1.0, 1.0, (N, n))
         X = _rollout(ms.x0, U, ms.dt)
         z = ms.join(X, U)
-        np.testing.assert_allclose(ms.A_eq @ z, ms.b_eq, atol=1e-12)
+        np.testing.assert_allclose(ms.A_eq @ z, ms.b_eq, rtol=0.0, atol=1e-12)
         np.testing.assert_allclose(ss.A_in @ U.ravel() - ss.b_in,
-                                   ms.A_in @ z - ms.b_in, atol=1e-12)
+                                   ms.A_in @ z - ms.b_in, rtol=0.0, atol=1e-12)
         X_ss, U_ss = ss.split(U.ravel())
-        np.testing.assert_allclose(X_ss, X, atol=1e-12)
-        np.testing.assert_allclose(U_ss, U, atol=0.0)
+        np.testing.assert_allclose(X_ss, X, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(U_ss, U, rtol=0.0, atol=0.0)
         draws.append((objective(ss, U.ravel()), objective(ms, z)))
     (ss_a, ms_a), (ss_b, ms_b) = draws
     np.testing.assert_allclose(ss_a - ss_b, ms_a - ms_b, rtol=1e-9)
+
+
+# the QP's objective, equality residual and distance-row slacks against the
+# per-node oracle, with and without each optional cost term and row group
+
+_SCENES = {  # name: (obstacle, posture target, task_oriented)
+    "free": (False, False, True),
+    "posture": (False, True, True),
+    "obstacle": (True, False, True),
+    "rows_only": (True, False, False),
+    "obstacle_posture": (True, True, True),
+}
+_ORACLE_CASES = pytest.mark.parametrize(
+    "method,scene", list(itertools.product(("multiple", "single"), _SCENES)))
+
+
+def oracle_problem(model, method, scene):
+    """A panda7 problem near the probe pose whose context holds repulsions,
+    distance rows and a posture-return term exactly as the scene names."""
+    obstacle, posture, task_oriented = _SCENES[scene]
+    q0 = np.array([0.0, -0.3, 0.0, -2.0, 0.0, 1.8, 0.7])
+    x0 = np.concatenate([q0, 0.1 * np.sin(np.arange(1.0, 8.0))])
+    fk = forward_kinematics(model, q0)
+    obs = ()
+    if obstacle:
+        obs = (ball(fk[-1].translation + np.array([0.0, 0.2, 0.1]),
+                    radius=0.08),)
+    T_ref = Pose(rotation=fk[-1].rotation.copy(),
+                 translation=fk[-1].translation + np.array([0.0, 0.1, 0.0]))
+    cfg = MpcConfig(horizon=8, method=method, task_oriented=task_oriented)
+    inp = PlannerInput(x0=x0, T_ref=T_ref, obstacles=obs,
+                       posture_target=q0 + 0.3 if posture else None)
+    prob = transcribe(inp, cfg, model)
+    ctx = prob.context
+    assert bool(ctx.repulsions) == (obstacle and task_oriented)
+    assert bool(ctx.distance_rows) == obstacle
+    assert (ctx.qd_return is not None) == posture
+    return prob, cfg
+
+
+def node_cost(prob, X, U):
+    ctx = prob.context
+    cost = sum(stage_cost(X[k], U[k], ctx) for k in range(prob.N))
+    return cost + terminal_cost(X[prob.N], ctx)
+
+
+@_ORACLE_CASES
+def test_qp_objective_plus_offset_is_the_summed_node_cost(panda7, rng, method,
+                                                          scene):
+    prob, _ = oracle_problem(panda7, method, scene)
+    for _ in range(5):
+        z = rng.uniform(-1.0, 1.0, prob.n_vars)
+        got = 0.5 * z @ (prob.H @ z) + prob.g @ z + prob.cost_offset
+        np.testing.assert_allclose(got, node_cost(prob, *prob.split(z)),
+                                   rtol=1e-12, atol=0)
+
+
+@_ORACLE_CASES
+def test_min_predicted_distance_is_the_least_linearized_distance(
+        panda7, method, scene):
+    prob, cfg = oracle_problem(panda7, method, scene)
+    sol = solve(prob, cfg)
+    assert sol.status == "optimal"
+    want = linearized_min_distance(prob, sol.X)
+    if np.isinf(want):
+        assert sol.min_predicted_distance == np.inf
+    else:
+        assert abs(sol.min_predicted_distance - want) <= 1e-12
+    # at the optimum the cost is about 1e-3 of c and of the quadratic part
+    # that cancels it, so it carries their roundoff at that relative weight
+    np.testing.assert_allclose(sol.cost, node_cost(prob, sol.X, sol.U),
+                               rtol=1e-10, atol=0)
+
+
+@_ORACLE_CASES
+def test_max_defect_is_the_largest_shooting_defect(panda7, method, scene):
+    prob, cfg = oracle_problem(panda7, method, scene)
+    sol = solve(prob, cfg)
+    assert sol.status == "optimal"
+    if method == "single":
+        assert sol.max_defect == 0.0
+    else:
+        want = max(float(np.abs(d).max())
+                   for d in shooting_defects(sol.X, sol.U, prob.dt))
+        assert abs(sol.max_defect - want) <= 1e-14
 
 
 def test_initial_guess_is_dynamically_feasible(planar2r):
@@ -593,9 +751,9 @@ def test_initial_guess_is_dynamically_feasible(planar2r):
     cfg = MpcConfig(horizon=8, method="multiple")
     prob = transcribe(PlannerInput(x0=x0, T_ref=Pose.identity()), cfg, planar2r)
     X, U = prob.split(prob.z0)
-    np.testing.assert_allclose(X[0], x0, atol=1e-12)
+    np.testing.assert_allclose(X[0], x0, rtol=0.0, atol=1e-12)
     for d in shooting_defects(X, U, cfg.dt):
-        np.testing.assert_allclose(d, 0.0, atol=1e-12)
+        np.testing.assert_allclose(d, 0.0, rtol=0.0, atol=1e-12)
 
 
 def test_braking_guess_respects_limits(planar2r):
@@ -607,7 +765,7 @@ def test_braking_guess_respects_limits(planar2r):
     X = _rollout(x0, U, 0.05)
     assert np.all(np.abs(U) <= amax + 1e-12)
     assert np.all(np.abs(X[:, 2:]) <= vmax + 1e-12)
-    np.testing.assert_allclose(X[-1, 2:], 0.0, atol=1e-9)
+    np.testing.assert_allclose(X[-1, 2:], 0.0, rtol=0.0, atol=1e-9)
 
 
 def test_warm_inputs_shift_by_one(planar2r):
@@ -659,7 +817,7 @@ def test_unconstrained_reaches_reference(planar2r):
         q = sol.X[-1, :2]
     T_N = forward_kinematics(planar2r, q)[-1]
     assert np.linalg.norm(T_N.translation - T_ref.translation) < 2e-3
-    np.testing.assert_allclose(q, q_goal, atol=5e-3)
+    np.testing.assert_allclose(q, q_goal, rtol=0.0, atol=5e-3)
 
 
 def test_methods_agree_without_obstacles(planar2r):
@@ -671,7 +829,8 @@ def test_methods_agree_without_obstacles(planar2r):
         _, sols[method] = solve_once(planar2r, cfg, x0, T_ref)
     assert sols["multiple"].status == "optimal"
     assert sols["single"].status == "optimal"
-    np.testing.assert_allclose(sols["multiple"].X, sols["single"].X, atol=1e-7)
+    np.testing.assert_allclose(sols["multiple"].X, sols["single"].X,
+                               rtol=0.0, atol=1e-7)
     np.testing.assert_allclose(sols["multiple"].cost, sols["single"].cost,
                                rtol=1e-9)
 
@@ -722,7 +881,8 @@ def test_methods_agree_with_active_rows(planar2r):
         assert sols[method].status == "optimal"
     np.testing.assert_allclose(sols["multiple"].cost, sols["single"].cost,
                                rtol=1e-7)
-    np.testing.assert_allclose(sols["multiple"].X, sols["single"].X, atol=1e-6)
+    np.testing.assert_allclose(sols["multiple"].X, sols["single"].X,
+                               rtol=0.0, atol=1e-6)
 
 
 def test_repeated_solves_bitwise_identical(planar2r):

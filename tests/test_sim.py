@@ -1,9 +1,9 @@
 """Golden closed-loop runs: two short panda7 scenarios whose logs must stay
 byte-identical.
 
-The hashes were recorded on the commit after 4819460 that wrote forward
-kinematics, M(q), Newton-Euler, ``mdot_qd`` and ``jacobian_dot_qd`` as
-prefix sums of spatial vectors at the world origin.  The previous hashes
+The ``log.csv`` hashes were recorded on the commit after 4819460 that wrote
+forward kinematics, M(q), Newton-Euler, ``mdot_qd`` and ``jacobian_dot_qd``
+as prefix sums of spatial vectors at the world origin.  The previous hashes
 (push ``50f3a721...``/``b3f95bd1...``, noise ``4b3863bb...``/
 ``82427575...``) were recorded on the commit after 587b8bd and still hold on
 4819460.  They changed by roundoff only: over both runs the logged torques
@@ -12,8 +12,15 @@ joint angles by at most 1.1e-15 rad, the joint rates by at most 5.0e-14
 rad/s, the logged distances by at most 2.8e-16 m and the plan cost by at most
 9.7e-15 relative; the mode timeline, the contact links, the detections and
 the solve statuses are unchanged, and one QP iteration count of the push run
-moves (65 to 63 at t = 0.05 s), as active-set paths do on roundoff.  The two
-golden tests use only ``scenario_from_dict`` and ``sim.run``, so they run
+moves (65 to 63 at t = 0.05 s), as active-set paths do on roundoff.
+
+The ``solves.csv`` hashes were recorded on the commit after e326c04 that
+reads each plan's cost, defect and predicted clearance off the QP it solved
+(push ``128dcfd8...``, noise ``cb8ccb90...`` before it).  Every plan is
+bitwise unchanged and ``log.csv`` is byte-identical; the cost column moves by
+at most 8.9e-14 relative and ``min_predicted_distance`` by at most 8.3e-17 m,
+while status, iterations, ``max_defect`` and ``fallback`` are unchanged.  The
+two golden tests use only ``scenario_from_dict`` and ``sim.run``, so they run
 unchanged against older commits, where they report the previous hashes::
 
     git clone <repo> parent && git -C parent checkout 4819460
@@ -62,10 +69,10 @@ NOISE = dict(_BASE, name="golden-noise", duration=0.1, seed=7,
 GOLDEN = {
     "golden-push": (
         "f10f0bfb84f7e66391d0258a1a1486fd906250854e94549b6b18c7c437ea2eb0",
-        "128dcfd8683007b7aff227f2c046f84009cc48715d445c9e35fcf0f7e3963ddc"),
+        "c9d5b4f61323a4bc3f584e217c3eeba2b36f85f882ba9c4804c6e6e8232c0924"),
     "golden-noise": (
         "64ac8619a01837000fd7759f77b5230354e1e1a6c79ef5662f857fd47c6c82f8",
-        "cb8ccb907ae2a7e89a1f8f599ab0a72f407e9998425e54ee5c74c4716261120b"),
+        "7bd0777d8b88a1277e8b77821b68682e1ab2d971115498eeef4fadbe9865eaaf"),
 }
 
 

@@ -16,6 +16,7 @@ from safemanip.planner.qp import make_feasible, solve_qp
 from safemanip.planner.transcription import (
     PlannerInput,
     _braking_inputs,
+    _lift,
     _rollout,
     _warm_inputs,
     transcribe,
@@ -611,7 +612,7 @@ def test_single_shooting_variable_count(planar2r):
     inp = PlannerInput(x0=np.zeros(4), T_ref=Pose.identity())
     prob = transcribe(inp, cfg, planar2r)
     assert prob.n_vars == 6 * planar2r.n
-    assert prob.A_eq is None or prob.A_eq.shape[0] == 0
+    assert prob.A_eq is None
 
 
 @pytest.mark.parametrize("method", ["multiple", "single"])
@@ -675,12 +676,17 @@ _ORACLE_CASES = pytest.mark.parametrize(
     "method,scene", list(itertools.product(("multiple", "single"), _SCENES)))
 
 
-def oracle_problem(model, method, scene):
-    """A panda7 problem near the probe pose whose context holds repulsions,
-    distance rows and a posture-return term exactly as the scene names."""
+_ORACLE_Q0 = {"panda7": [0.0, -0.3, 0.0, -2.0, 0.0, 1.8, 0.7],
+              "planar2r": [0.1, 0.1]}
+
+
+def oracle_problem(model, method, scene, horizon=8):
+    """A problem near a fixed start pose (panda7: the probe pose) whose
+    context holds repulsions, distance rows and a posture-return term exactly
+    as the scene names."""
     obstacle, posture, task_oriented = _SCENES[scene]
-    q0 = np.array([0.0, -0.3, 0.0, -2.0, 0.0, 1.8, 0.7])
-    x0 = np.concatenate([q0, 0.1 * np.sin(np.arange(1.0, 8.0))])
+    q0 = np.array(_ORACLE_Q0[model.name])
+    x0 = np.concatenate([q0, 0.1 * np.sin(np.arange(1.0, model.n + 1.0))])
     fk = forward_kinematics(model, q0)
     obs = ()
     if obstacle:
@@ -688,7 +694,7 @@ def oracle_problem(model, method, scene):
                     radius=0.08),)
     T_ref = Pose(rotation=fk[-1].rotation.copy(),
                  translation=fk[-1].translation + np.array([0.0, 0.1, 0.0]))
-    cfg = MpcConfig(horizon=8, method=method, task_oriented=task_oriented)
+    cfg = MpcConfig(horizon=horizon, method=method, task_oriented=task_oriented)
     inp = PlannerInput(x0=x0, T_ref=T_ref, obstacles=obs,
                        posture_target=q0 + 0.3 if posture else None)
     prob = transcribe(inp, cfg, model)
@@ -744,6 +750,96 @@ def test_max_defect_is_the_largest_shooting_defect(panda7, method, scene):
         want = max(float(np.abs(d).max())
                    for d in shooting_defects(sol.X, sol.U, prob.dt))
         assert abs(sol.max_defect - want) <= 1e-14
+
+
+# the condensing against the dense lift it replaced: S = S_scalar (x) I_n
+# built by np.kron, and S'HS as a dense product
+
+
+def dense_lift(n, N, dt):
+    """(T, S) as dense arrays, with T x0 + S u the rollout in the node
+    layout: x_k = [[I, k dt I], [0, I]] x0
+    + sum_{j<k} [[(k-1-j) dt^2 I], [dt I]] u_j."""
+    k = np.arange(N + 1)[:, None]
+    j = np.arange(N)[None, :]
+    before = j < k
+    # scalar coefficients of the q, qd and u rows of node k
+    T = np.zeros((N + 1, 3, 2))
+    T[:, 0, 0] = 1.0
+    T[:, 0, 1] = k[:, 0] * dt
+    T[:, 1, 1] = 1.0
+    S = np.stack([np.where(before, (k - 1 - j) * dt * dt, 0.0),
+                  np.where(before, dt, 0.0),
+                  np.where(k == j, 1.0, 0.0)], axis=1)
+    nz = N * 3 * n + 2 * n
+    return (np.kron(T.reshape(-1, 2), np.eye(n))[:nz],
+            np.kron(S.reshape(-1, N), np.eye(n))[:nz])
+
+
+_ROBOTS = pytest.mark.parametrize("robot", ["planar2r", "panda7"])
+_HORIZONS = pytest.mark.parametrize("N", [1, 2, 6, 50])
+
+
+@_ROBOTS
+@_HORIZONS
+@pytest.mark.parametrize("scene", list(_SCENES))
+def test_condensing_matches_the_dense_lift(request, robot, N, scene):
+    model = request.getfixturevalue(robot)
+    ms, _ = oracle_problem(model, "multiple", scene, horizon=N)
+    ss, _ = oracle_problem(model, "single", scene, horizon=N)
+    T, S = dense_lift(model.n, N, ms.dt)
+    np.testing.assert_array_equal(ss.lift[0].toarray(), T)
+    np.testing.assert_array_equal(ss.lift[1].toarray(), S)
+    H = S.T @ (ms.H @ S)
+    np.testing.assert_allclose(ss.H, H, rtol=0.0,
+                               atol=1e-12 * np.abs(H).max())
+    assert ss.A_in.format == "csr"
+    np.testing.assert_allclose(ss.A_in.toarray(), ms.A_in.toarray() @ S,
+                               rtol=0.0, atol=1e-15)
+
+
+@_ROBOTS
+@_HORIZONS
+def test_lift_is_cached_and_read_only(request, robot, N):
+    n = request.getfixturevalue(robot).n
+    dt = MpcConfig().dt
+    first = _lift(n, N, dt)
+    again = _lift(n, N, dt)
+    assert all(a is b for a, b in zip(first, again))
+    T, S, M, Mt = first
+    arrays = [M, Mt] + [getattr(mat, part) for mat in (T, S)
+                        for part in ("data", "indices", "indptr")]
+    for arr in arrays:
+        with pytest.raises(ValueError):
+            arr[0] = 1
+
+
+def test_both_methods_repair_an_infeasible_start(planar2r):
+    # at rest, with the obstacle 1e-4 m inside d_th1 of the second link: the
+    # braking start (zero inputs) violates every distance row, and the repair
+    # must move the arm out by node 2
+    q0 = np.array([0.1, 0.1])
+    fk = forward_kinematics(planar2r, q0)
+    d_th1 = MpcConfig().d_th1
+    probe = fk[-1].translation + np.array([0.0, 0.2, 0.0])
+    d = closest_pair_per_link(planar2r, q0, (ball(probe, radius=0.08),)).min_distance
+    obs = (ball(probe - np.array([0.0, d - d_th1 + 1e-4, 0.0]), radius=0.08),)
+    assert closest_pair_per_link(planar2r, q0, obs).min_distance < d_th1
+    T_ref = Pose(rotation=fk[-1].rotation.copy(),
+                 translation=fk[-1].translation + np.array([0.05, -0.05, 0.0]))
+    inp = PlannerInput(x0=np.concatenate([q0, np.zeros(2)]), T_ref=T_ref,
+                       obstacles=obs)
+    sols = {}
+    for method in ("multiple", "single"):
+        cfg = MpcConfig(horizon=10, method=method)
+        prob = transcribe(inp, cfg, planar2r)
+        assert not prob.z0_feasible
+        assert sp.issparse(prob.A_in)
+        sols[method] = solve(prob, cfg)
+        assert sols[method].status == "optimal"
+        assert sols[method].converged
+    np.testing.assert_allclose(sols["single"].cost, sols["multiple"].cost,
+                               rtol=1e-8)
 
 
 def test_initial_guess_is_dynamically_feasible(planar2r):

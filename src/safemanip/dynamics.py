@@ -23,7 +23,7 @@ kernel against the per-link recursions it replaced and against a
 Christoffel-form C(q, qd) from central differences of M.
 
 Per-state convention: ``mass_matrix``, ``inverse_dynamics``, ``bias_forces``,
-``gravity_torque``, ``mdot_qd`` and ``jacobian_dot_qd`` take the
+``mdot_qd`` and ``jacobian_dot_qd`` take the
 :class:`safemanip.model.Frames` of :func:`safemanip.model.forward_kinematics`
 as a required argument.  :class:`KinState` is the one object computed per
 state (q, qd): its frames, M and bias come from one forward-kinematics pass
@@ -132,11 +132,6 @@ def inverse_dynamics(model: RobotModel, frames: Frames, qd, qdd) -> np.ndarray:
     A[:, 3:] -= model.gravity
     f, _ = _link_wrenches(Io, V, A)
     return (S * _subtree_sums(f)).sum(axis=1)
-
-
-def gravity_torque(model: RobotModel, frames: Frames) -> np.ndarray:
-    z = np.zeros(model.n)
-    return inverse_dynamics(model, frames, z, z)
 
 
 def bias_forces(model: RobotModel, frames: Frames, qd) -> np.ndarray:

@@ -194,10 +194,6 @@ class DistanceSweep:
     min_index: Optional[int]
 
     @property
-    def min_result(self) -> Optional[DistanceResult]:
-        return None if self.min_index is None else self.results[self.min_index]
-
-    @property
     def min_distance(self) -> float:
         return np.inf if self.min_index is None else self.results[self.min_index].distance
 

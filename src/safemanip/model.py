@@ -280,10 +280,7 @@ def robust_pinv(J: np.ndarray) -> np.ndarray:
     """SVD pseudo-inverse that silently switches to damped least squares
     ``J^T (J J^T + AUTO_DAMPING^2 I)^-1`` when the smallest singular value
     falls below ``SINGULARITY_THRESHOLD``."""
-    J = np.asarray(J, dtype=float)
-    if J.ndim == 1:
-        J = J.reshape(1, -1)
-    U, s, Vt = np.linalg.svd(J, full_matrices=False)
+    U, s, Vt = np.linalg.svd(np.asarray(J, dtype=float), full_matrices=False)
     if s.size and s.min() < SINGULARITY_THRESHOLD:
         inv_s = s / (s ** 2 + AUTO_DAMPING ** 2)
     else:

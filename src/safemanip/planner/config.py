@@ -35,7 +35,10 @@ class MpcConfig:
     Weights are stored as diagonal entries; scalars broadcast.  ``q_rep``,
     ``q_s`` and ``r`` expand to the joint dimension when the problem is built.
     ``task_selection`` is the 0/1 diagonal that picks which twist components
-    the task cost acts on.
+    the task cost acts on.  ``method`` names one QP: single shooting is the
+    multiple-shooting QP with the states eliminated, so both solve the
+    multiple-shooting QP and return the same plan; the name is kept for the
+    logs.
     """
 
     horizon: int = 50

@@ -18,7 +18,7 @@ log = logging.getLogger(__name__)
 @dataclass(frozen=True)
 class MpcSolution:
     """A plan read off the QP it solved: ``cost`` = 0.5 z'Hz + g'z + c,
-    ``max_defect`` the equality residual (0 in single shooting),
+    ``max_defect`` the equality residual (the largest shooting defect),
     ``min_predicted_distance`` d_th1 plus the least distance-row slack (the
     least linearized clearance of nodes 2..N; inf without distance rows)."""
 

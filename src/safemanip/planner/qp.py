@@ -1,6 +1,8 @@
 """Primal active-set solver for the transcribed convex QPs.
 
 Standard form:  min 0.5 z'Hz + g'z  s.t.  A_eq z = b_eq,  A_in z >= b_in.
+SuperLU factors the sparse KKT matrix of H and A_eq; a dense H or
+constraint block is converted to CSR once, on entry.
 The caller supplies a start that already satisfies every constraint; the
 helper :func:`make_feasible` repairs a candidate with a slack subproblem when
 it does not.  All tie-breaks are by lowest row index so repeated solves are
@@ -22,7 +24,6 @@ up the regularization ladder.  The relative test ignores them.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 from scipy.sparse.linalg import norm as sparse_norm
 from scipy.sparse.linalg import splu
@@ -55,11 +56,10 @@ class _BaseKkt:
     step refactors and recomputes x_eq, Y and S from the cached rows.
     """
 
-    def __init__(self, H, g, A_eq, b_eq, sparse):
+    def __init__(self, H, g, A_eq, b_eq):
         self.H = H
         self.g = g
         self.A_eq = A_eq
-        self.sparse = sparse
         self.nz = H.shape[0]
         self.m_eq = 0 if A_eq is None else A_eq.shape[0]
         self.dim = self.nz + self.m_eq
@@ -81,7 +81,7 @@ class _BaseKkt:
             reg = _REG_LADDER[self._pos]
             try:
                 self._factor(reg)
-            except (RuntimeError, np.linalg.LinAlgError):
+            except RuntimeError:  # SuperLU: exactly singular
                 continue
             self.x_eq = self.solve(self._rhs_eq)
             k = self.k
@@ -95,35 +95,17 @@ class _BaseKkt:
 
     def _factor(self, reg):
         nz, m = self.nz, self.m_eq
-        if self.sparse:
-            Hr = self.H + reg * sp.identity(nz, format="csr") if reg else self.H
-            if m:
-                lr = -reg * sp.identity(m, format="csr") if reg else None
-                K = sp.bmat([[Hr, self.A_eq.T], [self.A_eq, lr]], format="csc")
-            else:
-                K = sp.csc_matrix(Hr)
-            self._lu = splu(K)
-            self._K = K
+        Hr = self.H + reg * sp.identity(nz, format="csr") if reg else self.H
+        if m:
+            lr = -reg * sp.identity(m, format="csr") if reg else None
+            K = sp.bmat([[Hr, self.A_eq.T], [self.A_eq, lr]], format="csc")
         else:
-            if m:
-                K = np.zeros((self.dim, self.dim))
-                K[:nz, :nz] = self.H
-                K[:nz, nz:] = self.A_eq.T
-                K[nz:, :nz] = self.A_eq
-                if reg:
-                    K[:nz, :nz] += reg * np.eye(nz)
-                    K[nz:, nz:] = -reg * np.eye(m)
-            else:
-                K = np.array(self.H, dtype=float)
-                if reg:
-                    K = K + reg * np.eye(nz)
-            self._lu = scipy.linalg.lu_factor(K)
-            self._K = K
+            K = sp.csc_matrix(Hr)
+        self._lu = splu(K)
+        self._K = K
 
     def solve(self, rhs):
-        if self.sparse:
-            return self._lu.solve(rhs)
-        return scipy.linalg.lu_solve(self._lu, rhs)
+        return self._lu.solve(rhs)
 
     def add(self, row: int, a):
         k = self.k
@@ -186,9 +168,14 @@ class _BaseKkt:
                 return None
 
 
+def _csr(A):
+    """A as CSR; a dense array is converted, None stays None."""
+    if A is None:
+        return None
+    return A.tocsr() if sp.issparse(A) else sp.csr_matrix(A)
+
+
 def _dense_row(A, j: int, n: int):
-    if not sp.issparse(A):
-        return np.array(A[j], dtype=float)
     a = np.zeros(n)
     lo, hi = A.indptr[j], A.indptr[j + 1]
     np.add.at(a, A.indices[lo:hi], A.data[lo:hi])
@@ -208,22 +195,18 @@ def feasibility_error(A_eq, b_eq, A_in, b_in, z):
 
 def solve_qp(H, g, A_eq, b_eq, A_in, b_in, z0,
              max_iters: int = 200, tol: float = 1e-8) -> QpResult:
-    sparse = sp.issparse(H)
+    H, A_eq, A_in = _csr(H), _csr(A_eq), _csr(A_in)
     z = np.array(z0, dtype=float)
     n_in = 0 if A_in is None else A_in.shape[0]
     if n_in:
-        if sp.issparse(A_in):
-            A_in = A_in.tocsr()
-            row_norm = sparse_norm(A_in, axis=1)
-        else:
-            row_norm = np.linalg.norm(A_in, axis=1)
+        row_norm = sparse_norm(A_in, axis=1)
         Az = A_in @ z
     in_working = np.zeros(n_in, dtype=bool)
     status = "max_iters"
     it = 0
     stall = 0
     bland = False  # anti-cycling fallback for degenerate active sets
-    base = _BaseKkt(H, np.asarray(g, dtype=float), A_eq, b_eq, sparse)
+    base = _BaseKkt(H, np.asarray(g, dtype=float), A_eq, b_eq)
     if base._lu is None:
         return QpResult(z=z, status="singular", iterations=0, working_set=())
     while it < max_iters:
@@ -286,6 +269,7 @@ def make_feasible(A_eq, b_eq, A_in, b_in, z0, slack_rows,
     Returns the repaired point or None when the minimum slack stays positive
     (genuinely infeasible constraint set).
     """
+    A_eq, A_in = _csr(A_eq), _csr(A_in)
     z0 = np.asarray(z0, dtype=float)
     nz = z0.size
     n_in = 0 if A_in is None else A_in.shape[0]
@@ -304,20 +288,14 @@ def make_feasible(A_eq, b_eq, A_in, b_in, z0, slack_rows,
                        2 * sp.identity(ns)), format="csr")
     sel = sp.csr_matrix(
         (np.ones(ns), (slack_rows, np.arange(ns))), shape=(n_in, ns))
-    A_in_aug = sp.bmat([[sp.csr_matrix(A_in), sel]], format="csr")
+    A_in_aug = sp.bmat([[A_in, sel]], format="csr")
     s_rows = sp.bmat([[sp.csr_matrix((ns, nz)), sp.identity(ns)]],
                      format="csr")
     A_in_full = sp.vstack([A_in_aug, s_rows], format="csr")
     A_eq_aug = None
     if A_eq is not None and A_eq.shape[0]:
-        A_eq_aug = sp.bmat([[sp.csr_matrix(A_eq),
-                             sp.csr_matrix((A_eq.shape[0], ns))]], format="csr")
-    if not sp.issparse(A_in):
-        # dense inputs keep solve_qp on its dense path
-        H, A_in_full = H.toarray(), A_in_full.toarray()
-        if A_eq_aug is not None:
-            A_eq_aug = A_eq_aug.toarray()
-
+        A_eq_aug = sp.bmat([[A_eq, sp.csr_matrix((A_eq.shape[0], ns))]],
+                           format="csr")
     g = np.concatenate([-2 * eps * z0, np.zeros(ns)])
     b_in_full = np.concatenate([b_in, np.zeros(ns)])
     s0 = viol[slack_rows] + 1e-12

@@ -2,24 +2,15 @@
 
 Every cycle builds one multiple-shooting QP: each node state is a decision
 variable tied to its predecessor by defect equality rows, and the variable
-order [x_0, u_0, x_1, u_1, ..., x_N] keeps the KKT system banded.  Single
-shooting is that QP condensed onto the inputs: the double-integrator rollout
-z = T x0 + S u closes every equality row, so substituting it leaves a problem
-in u alone with the same inequality rows in the same order (Axehill,
-"Controlling the level of sparsity in MPC", Systems & Control Letters 2015).
-
-The lift (T, S) depends only on (n, N, dt), so ``_lift`` builds it once and
-caches it read-only.  S = S_scalar (x) I_n, and the stage block B of H is the
-same on nodes 0..N-1, so the condensed Hessian is
-S'HS = sum_ab M_ab (x) B_ab + sum_ab Mt_ab (x) Bt_ab over the channels
-a, b in (q, qd, u), with the scalar Gram matrices M_ab = sum_{k<N} s_ka s_kb'
-and Mt_ab = s_Na s_Nb' of the terminal node cached with the lift: one small
-product in place of the dense S'HS.  The condensed rows A_in S stay sparse.
+order [x_0, u_0, x_1, u_1, ..., x_N] keeps the KKT system banded.  The
+planner's dynamics are linear, so single shooting is this QP with the states
+eliminated (Axehill, "Controlling the level of sparsity in MPC", Systems &
+Control Letters 2015): both have the same optimum, and ``method: single``
+builds and solves this same QP.
 """
 
-import functools
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -55,7 +46,6 @@ class PlannerInput:
 
 @dataclass
 class MpcProblem:
-    method: str
     n: int
     N: int
     dt: float
@@ -64,7 +54,7 @@ class MpcProblem:
     g: np.ndarray
     cost_offset: float  # c in the plan's cost 0.5 z'Hz + g'z + c
     A_eq: object
-    b_eq: Optional[np.ndarray]
+    b_eq: np.ndarray
     A_in: object
     b_in: np.ndarray
     z0: np.ndarray
@@ -72,9 +62,6 @@ class MpcProblem:
     slack_rows: tuple
     n_distance_rows: int
     x0: np.ndarray
-    # single shooting: the cached read-only CSR pair (T, S), with T x0 + S u
-    # the multiple-shooting vector
-    lift: Optional[tuple] = field(default=None, repr=False)
 
     @property
     def n_vars(self) -> int:
@@ -84,15 +71,10 @@ class MpcProblem:
         """Decision vector -> (X: (N+1, 2n), U: (N, n))."""
         n, N = self.n, self.N
         z = np.asarray(z, dtype=float).reshape(-1)
-        if self.lift is not None:
-            T, S = self.lift
-            z = T @ self.x0 + S @ z
         nodes = np.concatenate([z, np.zeros(n)]).reshape(N + 1, 3 * n)
         return nodes[:, :2 * n].copy(), nodes[:N, 2 * n:].copy()
 
     def join(self, X: np.ndarray, U: np.ndarray) -> np.ndarray:
-        if self.lift is not None:
-            return np.asarray(U, dtype=float).reshape(-1)
         n, N = self.n, self.N
         nodes = np.zeros((N + 1, 3 * n))
         nodes[:, :2 * n] = X
@@ -178,8 +160,7 @@ def _place(groups, n: int, N: int):
 def _cost(ctx: PlannerContext, N: int):
     """Block-diagonal H, g and the constant c over the node layout: the cost
     of the plan z is 0.5 z'Hz + g'z + c.  Each term |b - A x|^2_W of the
-    horizon sum contributes A'WA to H/2, -A'Wb to g/2 and b'Wb to c.  Also
-    returns the stage and terminal blocks of H, for the condensing."""
+    horizon sum contributes A'WA to H/2, -A'Wb to g/2 and b'Wb to c."""
     n = ctx.q.size
     J = ctx.J_task
     b_ee = ctx.V_ref + J @ ctx.q
@@ -205,7 +186,7 @@ def _cost(ctx: PlannerContext, N: int):
     g = np.concatenate([np.tile(g_stage, N),
                         -2.0 * J.T @ (ctx.W_terminal * b_ee), np.zeros(n)])
     c = N * c_stage + float(b_ee @ (ctx.W_terminal * b_ee))
-    return H, g, c, (stage, terminal)
+    return H, g, c
 
 
 def _equality_rows(x0: np.ndarray, N: int, dt: float):
@@ -255,53 +236,6 @@ def _inequality_rows(model: RobotModel, cfg: MpcConfig, ctx: PlannerContext):
     return A_in, b_in, tuple(np.flatnonzero(relax).tolist())
 
 
-@functools.lru_cache(maxsize=8)
-def _lift(n: int, N: int, dt: float):
-    """(T, S, M, Mt) for the rollout T x0 + S u in the node layout, in closed
-    form for the double integrator: x_k = [[I, k dt I], [0, I]] x0
-    + sum_{j<k} [[(k-1-j) dt^2 I], [dt I]] u_j.
-
-    T and S are CSR.  M[a, b] (3, 3, N, N) and Mt[a, b] (2, 2, N, N) are the
-    Gram matrices of the scalar rows s_ka of channel a (q, qd, u) of node k,
-    over the stage nodes k < N and the terminal node.  Cached per (n, N, dt)
-    and read-only, since every caller shares them.
-    """
-    k = np.arange(N + 1)[:, None]
-    j = np.arange(N)[None, :]
-    before = j < k
-    # scalar coefficients of the q, qd and u rows of node k
-    T = np.zeros((N + 1, 3, 2))
-    T[:, 0, 0] = 1.0
-    T[:, 0, 1] = k[:, 0] * dt
-    T[:, 1, 1] = 1.0
-    S = np.stack([np.where(before, (k - 1 - j) * dt * dt, 0.0),
-                  np.where(before, dt, 0.0),
-                  np.where(k == j, 1.0, 0.0)], axis=1)
-    nz = N * 3 * n + 2 * n
-    eye = sp.identity(n, format="csr")
-    T_full = sp.kron(T.reshape(-1, 2), eye, format="csr")[:nz]
-    S_full = sp.kron(S.reshape(-1, N), eye, format="csr")[:nz]
-    M = np.einsum("kaj,kbl->abjl", S[:N], S[:N])
-    Mt = np.einsum("aj,bl->abjl", S[N, :2], S[N, :2])
-    for arr in (T_full.data, T_full.indices, T_full.indptr,
-                S_full.data, S_full.indices, S_full.indptr, M, Mt):
-        arr.flags.writeable = False
-    return T_full, S_full, M, Mt
-
-
-def _condensed_hessian(M, Mt, stage, terminal):
-    """S'HS as an N x N grid of n x n blocks, block (j, l) being
-    sum_ab M[a, b, j, l] B_ab + sum_ab Mt[a, b, j, l] Bt_ab."""
-    N = M.shape[-1]
-    n = terminal.shape[0] // 2
-    blocks = np.concatenate([
-        stage.reshape(3, n, 3, n).transpose(0, 2, 1, 3).reshape(9, n * n),
-        terminal.reshape(2, n, 2, n).transpose(0, 2, 1, 3).reshape(4, n * n)])
-    grams = np.concatenate([M.reshape(9, N * N), Mt.reshape(4, N * N)])
-    H = (grams.T @ blocks).reshape(N, N, n, n).transpose(0, 2, 1, 3)
-    return H.reshape(N * n, N * n)
-
-
 def _feasible_start(problem: MpcProblem, model: RobotModel, warm):
     """Warm-shifted inputs if they satisfy every row of the problem, else
     braking; returns (z0, feasible)."""
@@ -322,30 +256,15 @@ def transcribe(inp: PlannerInput, cfg: MpcConfig, model: RobotModel) -> MpcProbl
     x0 = _clamp_state(model, inp.x0, dt)
     ctx = build_context(model, x0[:n], x0[n:], inp.T_ref, inp.obstacles, cfg,
                         posture_target=inp.posture_target)
-    H, g, c, (stage, terminal) = _cost(ctx, N)
+    H, g, c = _cost(ctx, N)
     A_in, b_in, slack_rows = _inequality_rows(model, cfg, ctx)
-    lift = None
-    if cfg.method == "single":
-        # z = T x0 + S u meets every equality row for every u: the equality
-        # block drops out and the cost and rows condense onto u
-        T, S, M, Mt = _lift(n, N, dt)
-        lift = (T, S)
-        z_free = T @ x0
-        Hz = H @ z_free
-        c += float(z_free @ (0.5 * Hz + g))
-        g = S.T @ (Hz + g)
-        H = _condensed_hessian(M, Mt, stage, terminal)
-        H = 0.5 * (H + H.T)  # symmetrize roundoff
-        A_in, b_in = (A_in @ S).tocsr(), b_in - A_in @ z_free
-        A_eq = b_eq = None
-    else:
-        A_eq, b_eq = _equality_rows(x0, N, dt)
-    problem = MpcProblem(method=cfg.method, n=n, N=N, dt=dt, context=ctx,
+    A_eq, b_eq = _equality_rows(x0, N, dt)
+    problem = MpcProblem(n=n, N=N, dt=dt, context=ctx,
                          H=H, g=g, cost_offset=c, A_eq=A_eq, b_eq=b_eq,
                          A_in=A_in, b_in=b_in,
                          z0=None, z0_feasible=False, slack_rows=slack_rows,
                          n_distance_rows=len(ctx.distance_rows) * (N - 1),
-                         x0=x0, lift=lift)
+                         x0=x0)
     problem.z0, problem.z0_feasible = _feasible_start(problem, model,
                                                       inp.warm_start)
     return problem

@@ -21,8 +21,10 @@ the pose error against the scenario reference.  ``solves.csv`` columns::
     t, method, status, iterations, cost, max_defect, min_predicted_distance,
     fallback
 
-``max_defect`` is the QP's equality residual (0 in single shooting) and
-``min_predicted_distance`` is ``d_th1`` plus its least distance-row slack.
+``method`` echoes the planner config (both methods solve one QP),
+``max_defect`` is the QP's equality residual (the largest shooting defect)
+and ``min_predicted_distance`` is ``d_th1`` plus its least distance-row
+slack.
 """
 
 import csv

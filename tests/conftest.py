@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from safemanip.dynamics import inverse_dynamics
 from safemanip.robots import load_robot
 
 
@@ -11,6 +12,18 @@ def is_rigid_transform(T, tol):
     R = T.rotation
     return (np.abs(R.T @ R - np.eye(3)).max() < tol
             and abs(np.linalg.det(R) - 1.0) < tol)
+
+
+def gravity_torque(model, frames):
+    """Joint torques that hold the arm still against gravity: RNEA at
+    qd = qdd = 0."""
+    z = np.zeros(model.n)
+    return inverse_dynamics(model, frames, z, z)
+
+
+def min_result(sweep):
+    """The closest of a sweep's per-body results (None without any)."""
+    return None if sweep.min_index is None else sweep.results[sweep.min_index]
 
 
 @pytest.fixture

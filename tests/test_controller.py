@@ -3,6 +3,7 @@ import logging
 import numpy as np
 import pytest
 
+from conftest import gravity_torque
 from safemanip.controller import (
     ContactInfo,
     ControllerState,
@@ -20,7 +21,6 @@ from safemanip.controller import (
 from safemanip.dynamics import (
     KinState,
     bias_forces,
-    gravity_torque,
     jacobian_dot_qd,
     mass_matrix,
     task_dynamics_from_jacobian,

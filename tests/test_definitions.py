@@ -1,0 +1,63 @@
+"""Every function, method and property defined under ``src/`` is read
+somewhere in ``src/``.
+
+A definition that only tests call belongs in ``tests/``.  Names are matched
+by their last part: ``x.foo`` anywhere in ``src/`` reads every ``foo``, since
+the type of ``x`` is not known without running the code.  Dunder methods are
+called by Python itself and are not checked.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# definitions that nothing in src/ reads, by (module, qualified name), and why
+# each stays
+UNREAD_ON_PURPOSE = {
+    ("safemanip.cli", "_Parser.error"): "argparse calls it on a bad argument",
+    ("safemanip.planner.transcription", "MpcProblem.n_vars"):
+        "perfbench's _problem_tag reads it for planner.n_vars",
+    ("safemanip.robots", "load_robot"): "the public loader of bundled robots",
+}
+
+
+def _is_function(node):
+    return isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+
+
+def _scan():
+    """((module, qualified name, last part) of every definition, every name
+    read as a variable or an attribute)."""
+    defined, read = [], set()
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        module = ".".join(path.relative_to(SRC).with_suffix("").parts)
+        module = module.removesuffix(".__init__")
+        for node in tree.body:
+            if _is_function(node):
+                defined.append((module, node.name, node.name))
+            elif isinstance(node, ast.ClassDef):
+                defined += [(module, f"{node.name}.{item.name}", item.name)
+                            for item in node.body if _is_function(item)
+                            and not (item.name.startswith("__")
+                                     and item.name.endswith("__"))]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif (isinstance(node, ast.Attribute)
+                    and isinstance(node.ctx, ast.Load)):
+                read.add(node.attr)
+    return defined, read
+
+
+def test_every_definition_is_read():
+    defined, read = _scan()
+    unread = {(module, qual) for module, qual, name in defined
+              if name not in read}
+    extra = sorted(unread - set(UNREAD_ON_PURPOSE))
+    stale = sorted(set(UNREAD_ON_PURPOSE) - unread)
+    assert not extra, "defined under src/ but never read there: " + ", ".join(
+        f"{module}.{qual}" for module, qual in extra)
+    assert not stale, "read in src/ now, so drop from UNREAD_ON_PURPOSE: " + (
+        ", ".join(f"{module}.{qual}" for module, qual in stale))

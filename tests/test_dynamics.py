@@ -3,11 +3,11 @@ import dataclasses
 import numpy as np
 import pytest
 
+from conftest import gravity_torque
 from safemanip.dynamics import (
     KinState,
     bias_forces,
     forward_dynamics,
-    gravity_torque,
     inverse_dynamics,
     jacobian_dot_qd,
     mass_matrix,

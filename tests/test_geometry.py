@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import min_result
 from safemanip.geometry import (
     Capsule,
     GradientUndefinedError,
@@ -218,7 +219,7 @@ def test_closest_pair_per_link_basic(planar2r):
     obstacles = [Obstacle(Sphere(0.1), at([1.5, 0.5, 0.0]))]
     sweep = closest_pair_per_link(planar2r, np.zeros(2), obstacles)
     assert len(sweep.results) == 2
-    assert sweep.min_result.link == 1
+    assert min_result(sweep).link == 1
     # centerline gap 0.5 minus sphere 0.1 minus capsule 0.05
     assert sweep.min_distance == pytest.approx(0.35, abs=1e-12)
 
@@ -258,7 +259,7 @@ def test_distance_gradient_vs_fd(request, rng):
         for _ in range(500):
             q = rng.uniform(-2.5, 2.5, model.n)
             obstacles = [Obstacle(Sphere(0.08), at(rng.uniform(-1.0, 1.0, 3)))]
-            res = closest_pair_per_link(model, q, obstacles).min_result
+            res = min_result(closest_pair_per_link(model, q, obstacles))
             if res.distance < 0.05:
                 continue
             grad = distance_gradient(model, forward_kinematics(model, q), res)
@@ -283,7 +284,7 @@ def test_distance_gradient_zero_distance_raises(planar2r):
     assert sweep.min_distance == pytest.approx(0.0, abs=1e-12)
     with pytest.raises(GradientUndefinedError):
         distance_gradient(planar2r, forward_kinematics(planar2r, np.zeros(2)),
-                          sweep.min_result)
+                          min_result(sweep))
 
 
 def _linearized(res, grad, q, qk):
@@ -295,7 +296,7 @@ def _linearized(res, grad, q, qk):
 def test_linearized_distance_at_measurement(planar2r):
     obstacles = [Obstacle(Sphere(0.1), at([1.2, 0.8, 0.0]))]
     q = np.array([0.1, -0.2])
-    res = closest_pair_per_link(planar2r, q, obstacles).min_result
+    res = min_result(closest_pair_per_link(planar2r, q, obstacles))
     grad = distance_gradient(planar2r, forward_kinematics(planar2r, q), res)
     assert _linearized(res, grad, q, q) == pytest.approx(res.distance)
 
@@ -304,7 +305,7 @@ def test_linearized_distance_first_order(planar2r, rng):
     # halving the step shrinks the Taylor remainder about 4x
     obstacles = [Obstacle(Sphere(0.1), at([1.2, 0.8, 0.0]))]
     q = np.array([0.1, -0.2])
-    res = closest_pair_per_link(planar2r, q, obstacles).min_result
+    res = min_result(closest_pair_per_link(planar2r, q, obstacles))
     grad = distance_gradient(planar2r, forward_kinematics(planar2r, q), res)
     direction = rng.standard_normal(2)
     direction /= np.linalg.norm(direction)

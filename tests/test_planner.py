@@ -1,6 +1,7 @@
 """Receding-horizon planner: cost terms, transcriptions, QP solver."""
 
 import itertools
+import logging
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from safemanip.planner.qp import make_feasible, solve_qp
 from safemanip.planner.transcription import (
     PlannerInput,
     _braking_inputs,
-    _lift,
     _rollout,
     _warm_inputs,
     transcribe,
@@ -545,6 +545,36 @@ def test_qp_large_working_set_matches_projection(form, monkeypatch):
     assert counts == {"solve": 1 + n_out, "_factor": 1, "add": n_out}
 
 
+def test_singular_kkt_climbs_the_regularization_ladder(planar2r,
+                                                       monkeypatch):
+    # with no input cost and no terminal velocity cost, nothing in the QP
+    # prices the last input: the KKT matrix is singular, the solve refactors
+    # at the ladder's second level, and its answer must still certify as the
+    # optimum of the unregularized QP
+    cfg = MpcConfig(horizon=3, r=0.0, q_s_terminal=0.0)
+    inp = PlannerInput(x0=np.array([0.2, -0.1, 0.0, 0.0]),
+                       T_ref=Pose(translation=np.array([-1.5, 1.0, 0.0])))
+    prob = transcribe(inp, cfg, planar2r)
+    assert prob.z0_feasible
+    counts = _count_kkt_work(monkeypatch)
+    res = solve_qp(prob.H, prob.g, prob.A_eq, prob.b_eq, prob.A_in,
+                   prob.b_in, prob.z0, max_iters=cfg.max_iters,
+                   tol=cfg.kkt_tol)
+    assert res.status == "optimal"
+    assert counts["_factor"] == 2  # levels 0 and 1e-12 of the ladder
+    # KKT certificate by least squares on the returned working set:
+    # H z + g = A_eq' lam + A_W' mu with mu >= 0, and every row met
+    z, rows = res.z, list(res.working_set)
+    assert rows
+    A = np.vstack([prob.A_eq.toarray(), prob.A_in.toarray()[rows]])
+    grad = prob.H @ z + prob.g
+    mult = np.linalg.lstsq(A.T, grad, rcond=None)[0]
+    assert np.abs(A.T @ mult - grad).max() <= 1e-8
+    assert mult[prob.A_eq.shape[0]:].min() >= -cfg.kkt_tol
+    assert np.abs(prob.A_eq @ z - prob.b_eq).max() <= cfg.constraint_tol
+    assert (prob.b_in - prob.A_in @ z).max() <= cfg.constraint_tol
+
+
 @_DENSE_AND_CSR
 def test_make_feasible_repairs_marked_rows(form):
     A_in = np.array([[1.0, 0.0], [0.0, 1.0]])
@@ -607,59 +637,13 @@ def test_variable_and_row_counts(planar2r):
     assert prob.n_distance_rows == pairs * (N - 1)
 
 
-def test_single_shooting_variable_count(planar2r):
-    cfg = MpcConfig(horizon=6, method="single")
-    inp = PlannerInput(x0=np.zeros(4), T_ref=Pose.identity())
-    prob = transcribe(inp, cfg, planar2r)
-    assert prob.n_vars == 6 * planar2r.n
-    assert prob.A_eq is None
-
-
-@pytest.mark.parametrize("method", ["multiple", "single"])
-def test_split_join_round_trip(planar2r, rng, method):
-    cfg = MpcConfig(horizon=5, method=method)
+def test_split_join_round_trip(planar2r, rng):
+    cfg = MpcConfig(horizon=5)
     inp = PlannerInput(x0=np.zeros(4), T_ref=Pose.identity())
     prob = transcribe(inp, cfg, planar2r)
     z = rng.standard_normal(prob.n_vars)
     X, U = prob.split(z)
     np.testing.assert_allclose(prob.join(X, U), z)
-
-
-def test_single_shooting_is_condensed_multiple_shooting(panda7, rng):
-    # oracle: the rollout z(U) in the multiple-shooting layout gives the
-    # single-shooting QP at U the same objective (up to a constant) and the
-    # same inequality residuals as the multiple-shooting QP at z(U)
-    N, n = 6, panda7.n
-    q0 = np.array([0.0, -0.3, 0.0, -2.0, 0.0, 1.8, 0.7])
-    x0 = np.concatenate([q0, rng.uniform(-0.1, 0.1, n)])
-    fk = forward_kinematics(panda7, q0)
-    obs = (ball(fk[-1].translation + np.array([0.0, 0.15, 0.1]), radius=0.08),)
-    T_ref = Pose(rotation=fk[-1].rotation.copy(),
-                 translation=fk[-1].translation + np.array([0.0, 0.1, 0.0]))
-    inp = PlannerInput(x0=x0, T_ref=T_ref, obstacles=obs)
-    ms = transcribe(inp, MpcConfig(horizon=N, method="multiple"), panda7)
-    ss = transcribe(inp, MpcConfig(horizon=N, method="single"), panda7)
-    assert ms.n_distance_rows > 0
-    assert ss.n_distance_rows == ms.n_distance_rows
-    assert ss.slack_rows == ms.slack_rows
-
-    def objective(prob, z):
-        return 0.5 * z @ (prob.H @ z) + prob.g @ z
-
-    draws = []
-    for _ in range(2):
-        U = rng.uniform(-1.0, 1.0, (N, n))
-        X = _rollout(ms.x0, U, ms.dt)
-        z = ms.join(X, U)
-        np.testing.assert_allclose(ms.A_eq @ z, ms.b_eq, rtol=0.0, atol=1e-12)
-        np.testing.assert_allclose(ss.A_in @ U.ravel() - ss.b_in,
-                                   ms.A_in @ z - ms.b_in, rtol=0.0, atol=1e-12)
-        X_ss, U_ss = ss.split(U.ravel())
-        np.testing.assert_allclose(X_ss, X, rtol=0.0, atol=1e-12)
-        np.testing.assert_allclose(U_ss, U, rtol=0.0, atol=0.0)
-        draws.append((objective(ss, U.ravel()), objective(ms, z)))
-    (ss_a, ms_a), (ss_b, ms_b) = draws
-    np.testing.assert_allclose(ss_a - ss_b, ms_a - ms_b, rtol=1e-9)
 
 
 # the QP's objective, equality residual and distance-row slacks against the
@@ -672,15 +656,14 @@ _SCENES = {  # name: (obstacle, posture target, task_oriented)
     "rows_only": (True, False, False),
     "obstacle_posture": (True, True, True),
 }
-_ORACLE_CASES = pytest.mark.parametrize(
-    "method,scene", list(itertools.product(("multiple", "single"), _SCENES)))
+_ORACLE_CASES = pytest.mark.parametrize("scene", list(_SCENES))
 
 
 _ORACLE_Q0 = {"panda7": [0.0, -0.3, 0.0, -2.0, 0.0, 1.8, 0.7],
               "planar2r": [0.1, 0.1]}
 
 
-def oracle_problem(model, method, scene, horizon=8):
+def oracle_problem(model, scene, horizon=8):
     """A problem near a fixed start pose (panda7: the probe pose) whose
     context holds repulsions, distance rows and a posture-return term exactly
     as the scene names."""
@@ -694,7 +677,7 @@ def oracle_problem(model, method, scene, horizon=8):
                     radius=0.08),)
     T_ref = Pose(rotation=fk[-1].rotation.copy(),
                  translation=fk[-1].translation + np.array([0.0, 0.1, 0.0]))
-    cfg = MpcConfig(horizon=horizon, method=method, task_oriented=task_oriented)
+    cfg = MpcConfig(horizon=horizon, task_oriented=task_oriented)
     inp = PlannerInput(x0=x0, T_ref=T_ref, obstacles=obs,
                        posture_target=q0 + 0.3 if posture else None)
     prob = transcribe(inp, cfg, model)
@@ -712,9 +695,8 @@ def node_cost(prob, X, U):
 
 
 @_ORACLE_CASES
-def test_qp_objective_plus_offset_is_the_summed_node_cost(panda7, rng, method,
-                                                          scene):
-    prob, _ = oracle_problem(panda7, method, scene)
+def test_qp_objective_plus_offset_is_the_summed_node_cost(panda7, rng, scene):
+    prob, _ = oracle_problem(panda7, scene)
     for _ in range(5):
         z = rng.uniform(-1.0, 1.0, prob.n_vars)
         got = 0.5 * z @ (prob.H @ z) + prob.g @ z + prob.cost_offset
@@ -724,8 +706,8 @@ def test_qp_objective_plus_offset_is_the_summed_node_cost(panda7, rng, method,
 
 @_ORACLE_CASES
 def test_min_predicted_distance_is_the_least_linearized_distance(
-        panda7, method, scene):
-    prob, cfg = oracle_problem(panda7, method, scene)
+        panda7, scene):
+    prob, cfg = oracle_problem(panda7, scene)
     sol = solve(prob, cfg)
     assert sol.status == "optimal"
     want = linearized_min_distance(prob, sol.X)
@@ -740,20 +722,17 @@ def test_min_predicted_distance_is_the_least_linearized_distance(
 
 
 @_ORACLE_CASES
-def test_max_defect_is_the_largest_shooting_defect(panda7, method, scene):
-    prob, cfg = oracle_problem(panda7, method, scene)
+def test_max_defect_is_the_largest_shooting_defect(panda7, scene):
+    prob, cfg = oracle_problem(panda7, scene)
     sol = solve(prob, cfg)
     assert sol.status == "optimal"
-    if method == "single":
-        assert sol.max_defect == 0.0
-    else:
-        want = max(float(np.abs(d).max())
-                   for d in shooting_defects(sol.X, sol.U, prob.dt))
-        assert abs(sol.max_defect - want) <= 1e-14
+    want = max(float(np.abs(d).max())
+               for d in shooting_defects(sol.X, sol.U, prob.dt))
+    assert abs(sol.max_defect - want) <= 1e-14
 
 
-# the condensing against the dense lift it replaced: S = S_scalar (x) I_n
-# built by np.kron, and S'HS as a dense product
+# single shooting as a test oracle: the planner's QP condensed onto the
+# inputs by the dense lift, S = S_scalar (x) I_n built by np.kron
 
 
 def dense_lift(n, N, dt):
@@ -777,41 +756,34 @@ def dense_lift(n, N, dt):
 
 
 _ROBOTS = pytest.mark.parametrize("robot", ["planar2r", "panda7"])
-_HORIZONS = pytest.mark.parametrize("N", [1, 2, 6, 50])
 
 
 @_ROBOTS
-@_HORIZONS
-@pytest.mark.parametrize("scene", list(_SCENES))
-def test_condensing_matches_the_dense_lift(request, robot, N, scene):
+@_ORACLE_CASES
+def test_single_shooting_is_condensed_multiple_shooting(request, robot, scene):
+    # z = T x0 + S u meets every equality row for every u, so substituting it
+    # leaves the single-shooting QP in u alone; its optimum is the plan the
+    # planner returns
     model = request.getfixturevalue(robot)
-    ms, _ = oracle_problem(model, "multiple", scene, horizon=N)
-    ss, _ = oracle_problem(model, "single", scene, horizon=N)
-    T, S = dense_lift(model.n, N, ms.dt)
-    np.testing.assert_array_equal(ss.lift[0].toarray(), T)
-    np.testing.assert_array_equal(ss.lift[1].toarray(), S)
-    H = S.T @ (ms.H @ S)
-    np.testing.assert_allclose(ss.H, H, rtol=0.0,
-                               atol=1e-12 * np.abs(H).max())
-    assert ss.A_in.format == "csr"
-    np.testing.assert_allclose(ss.A_in.toarray(), ms.A_in.toarray() @ S,
-                               rtol=0.0, atol=1e-15)
-
-
-@_ROBOTS
-@_HORIZONS
-def test_lift_is_cached_and_read_only(request, robot, N):
-    n = request.getfixturevalue(robot).n
-    dt = MpcConfig().dt
-    first = _lift(n, N, dt)
-    again = _lift(n, N, dt)
-    assert all(a is b for a, b in zip(first, again))
-    T, S, M, Mt = first
-    arrays = [M, Mt] + [getattr(mat, part) for mat in (T, S)
-                        for part in ("data", "indices", "indptr")]
-    for arr in arrays:
-        with pytest.raises(ValueError):
-            arr[0] = 1
+    prob, cfg = oracle_problem(model, scene)
+    T, S = dense_lift(prob.n, prob.N, prob.dt)
+    z_free = T @ prob.x0
+    Hz = prob.H @ z_free
+    H = S.T @ (prob.H @ S)
+    g = S.T @ (Hz + prob.g)
+    c = prob.cost_offset + float(z_free @ (0.5 * Hz + prob.g))
+    A_in, b_in = prob.A_in @ S, prob.b_in - prob.A_in @ z_free
+    u0 = prob.split(prob.z0)[1].ravel()
+    if not prob.z0_feasible:
+        u0 = make_feasible(None, None, A_in, b_in, u0, prob.slack_rows)
+    res = solve_qp(0.5 * (H + H.T), g, None, None, A_in, b_in, u0,
+                   max_iters=cfg.max_iters, tol=cfg.kkt_tol)
+    sol = solve(prob, cfg)
+    assert res.status == sol.status
+    X, _ = prob.split(z_free + S @ res.z)
+    np.testing.assert_allclose(X, sol.X, rtol=0.0, atol=1e-8)
+    cost = 0.5 * res.z @ (H @ res.z) + g @ res.z + c
+    np.testing.assert_allclose(cost, sol.cost, rtol=1e-10, atol=0.0)
 
 
 def test_both_methods_repair_an_infeasible_start(planar2r):
@@ -840,6 +812,29 @@ def test_both_methods_repair_an_infeasible_start(planar2r):
         assert sols[method].converged
     np.testing.assert_allclose(sols["single"].cost, sols["multiple"].cost,
                                rtol=1e-8)
+
+
+def test_state_outside_the_envelope_is_clamped(planar2r, caplog):
+    # joint 0 starts above its upper position limit, joint 1 inside its box
+    # but moving down faster than it can stop before the lower limit: both
+    # velocities are cut to the discrete stopping-distance cap
+    # sqrt((dt a/2)^2 + 2 a gap) - dt a/2, which is 0 at the limit itself
+    cfg = MpcConfig(horizon=5)
+    lim = planar2r.limits
+    lo, hi, a = lim.position_lower, lim.position_upper, lim.acceleration
+    x0 = np.array([hi[0] + 0.1, lo[1] + 0.01, 0.5 * lim.velocity[0],
+                   -0.9 * lim.velocity[1]])
+    gap = x0[1] - lo[1]
+    half = 0.5 * cfg.dt * a[1]
+    cap = np.sqrt(half ** 2 + 2.0 * a[1] * gap) - half
+    assert cap < 0.9 * lim.velocity[1]
+    with caplog.at_level(logging.WARNING,
+                         logger="safemanip.planner.transcription"):
+        prob = transcribe(PlannerInput(x0=x0, T_ref=Pose.identity()), cfg,
+                          planar2r)
+    assert "outside the feasible envelope" in caplog.text
+    np.testing.assert_array_equal(prob.x0[:2], [hi[0], x0[1]])
+    np.testing.assert_allclose(prob.x0[2:], [0.0, -cap], rtol=1e-12, atol=0.0)
 
 
 def test_initial_guess_is_dynamically_feasible(planar2r):

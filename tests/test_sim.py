@@ -30,6 +30,7 @@ A refactor that changes no arithmetic must leave them unchanged; a change that
 does change the numbers must say why and record new hashes here.
 """
 
+import csv
 import hashlib
 import logging
 import math
@@ -102,6 +103,27 @@ def test_noisy_run_matches_golden(tmp_path):
     report, hashes = _run(NOISE, tmp_path)
     assert report.ticks == 100
     assert hashes == GOLDEN["golden-noise"]
+
+
+def test_method_names_one_qp(tmp_path):
+    # single shooting is the multiple-shooting QP with the states eliminated,
+    # so both methods fly the same run: log.csv is byte-identical and
+    # solves.csv differs only where it echoes the method
+    logs, solves = {}, {}
+    for method in ("multiple", "single"):
+        doc = dict(_BASE, name=f"method-{method}", duration=0.1,
+                   planner={"N": 10, "method": method})
+        report = run(scenario_from_dict(doc, label=doc["name"]),
+                     out_dir=tmp_path / method)
+        with open(report.log_path, "rb") as fh:
+            logs[method] = fh.read()
+        with open(report.solves_path, newline="") as fh:
+            solves[method] = list(csv.DictReader(fh))
+    assert logs["multiple"] == logs["single"]
+    assert len(solves["multiple"]) == len(solves["single"]) == 2
+    for method, rows in solves.items():
+        assert [row.pop("method") for row in rows] == [method, method]
+    assert solves["multiple"] == solves["single"]
 
 
 def test_damped_singular_task_is_reported_on_every_run(tmp_path, caplog):

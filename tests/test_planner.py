@@ -637,8 +637,20 @@ def test_variable_and_row_counts(planar2r):
     assert prob.n_distance_rows == pairs * (N - 1)
 
 
-def test_split_join_round_trip(planar2r, rng):
-    cfg = MpcConfig(horizon=5)
+def test_single_shooting_variable_count(planar2r):
+    # single shooting names the multiple-shooting QP: the same variables and
+    # the same equality rows
+    cfg = MpcConfig(horizon=6, method="single")
+    inp = PlannerInput(x0=np.zeros(4), T_ref=Pose.identity())
+    prob = transcribe(inp, cfg, planar2r)
+    n = planar2r.n
+    assert prob.n_vars == 7 * 2 * n + 6 * n
+    assert prob.A_eq.shape == (2 * n * 7, prob.n_vars)
+
+
+@pytest.mark.parametrize("method", ["multiple", "single"])
+def test_split_join_round_trip(planar2r, rng, method):
+    cfg = MpcConfig(horizon=5, method=method)
     inp = PlannerInput(x0=np.zeros(4), T_ref=Pose.identity())
     prob = transcribe(inp, cfg, planar2r)
     z = rng.standard_normal(prob.n_vars)
@@ -656,14 +668,15 @@ _SCENES = {  # name: (obstacle, posture target, task_oriented)
     "rows_only": (True, False, False),
     "obstacle_posture": (True, True, True),
 }
-_ORACLE_CASES = pytest.mark.parametrize("scene", list(_SCENES))
+_ORACLE_CASES = pytest.mark.parametrize(
+    "method,scene", list(itertools.product(("multiple", "single"), _SCENES)))
 
 
 _ORACLE_Q0 = {"panda7": [0.0, -0.3, 0.0, -2.0, 0.0, 1.8, 0.7],
               "planar2r": [0.1, 0.1]}
 
 
-def oracle_problem(model, scene, horizon=8):
+def oracle_problem(model, method, scene, horizon=8):
     """A problem near a fixed start pose (panda7: the probe pose) whose
     context holds repulsions, distance rows and a posture-return term exactly
     as the scene names."""
@@ -677,7 +690,8 @@ def oracle_problem(model, scene, horizon=8):
                     radius=0.08),)
     T_ref = Pose(rotation=fk[-1].rotation.copy(),
                  translation=fk[-1].translation + np.array([0.0, 0.1, 0.0]))
-    cfg = MpcConfig(horizon=horizon, task_oriented=task_oriented)
+    cfg = MpcConfig(horizon=horizon, method=method,
+                    task_oriented=task_oriented)
     inp = PlannerInput(x0=x0, T_ref=T_ref, obstacles=obs,
                        posture_target=q0 + 0.3 if posture else None)
     prob = transcribe(inp, cfg, model)
@@ -695,8 +709,9 @@ def node_cost(prob, X, U):
 
 
 @_ORACLE_CASES
-def test_qp_objective_plus_offset_is_the_summed_node_cost(panda7, rng, scene):
-    prob, _ = oracle_problem(panda7, scene)
+def test_qp_objective_plus_offset_is_the_summed_node_cost(panda7, rng, method,
+                                                          scene):
+    prob, _ = oracle_problem(panda7, method, scene)
     for _ in range(5):
         z = rng.uniform(-1.0, 1.0, prob.n_vars)
         got = 0.5 * z @ (prob.H @ z) + prob.g @ z + prob.cost_offset
@@ -706,8 +721,8 @@ def test_qp_objective_plus_offset_is_the_summed_node_cost(panda7, rng, scene):
 
 @_ORACLE_CASES
 def test_min_predicted_distance_is_the_least_linearized_distance(
-        panda7, scene):
-    prob, cfg = oracle_problem(panda7, scene)
+        panda7, method, scene):
+    prob, cfg = oracle_problem(panda7, method, scene)
     sol = solve(prob, cfg)
     assert sol.status == "optimal"
     want = linearized_min_distance(prob, sol.X)
@@ -722,8 +737,10 @@ def test_min_predicted_distance_is_the_least_linearized_distance(
 
 
 @_ORACLE_CASES
-def test_max_defect_is_the_largest_shooting_defect(panda7, scene):
-    prob, cfg = oracle_problem(panda7, scene)
+def test_max_defect_is_the_largest_shooting_defect(panda7, method, scene):
+    # both method values solve the multiple-shooting QP, so both report the
+    # defects of that QP's plan
+    prob, cfg = oracle_problem(panda7, method, scene)
     sol = solve(prob, cfg)
     assert sol.status == "optimal"
     want = max(float(np.abs(d).max())
@@ -756,18 +773,23 @@ def dense_lift(n, N, dt):
 
 
 _ROBOTS = pytest.mark.parametrize("robot", ["planar2r", "panda7"])
+_HORIZONS = pytest.mark.parametrize("N", [1, 2, 6, 50])
 
 
 @_ROBOTS
-@_ORACLE_CASES
-def test_single_shooting_is_condensed_multiple_shooting(request, robot, scene):
+@_HORIZONS
+@pytest.mark.parametrize("scene", list(_SCENES))
+def test_condensing_matches_the_dense_lift(request, robot, N, scene):
     # z = T x0 + S u meets every equality row for every u, so substituting it
     # leaves the single-shooting QP in u alone; its optimum is the plan the
     # planner returns
     model = request.getfixturevalue(robot)
-    prob, cfg = oracle_problem(model, scene)
+    prob, cfg = oracle_problem(model, "multiple", scene, horizon=N)
     T, S = dense_lift(prob.n, prob.N, prob.dt)
     z_free = T @ prob.x0
+    np.testing.assert_allclose(prob.A_eq @ S, 0.0, rtol=0.0, atol=1e-15)
+    np.testing.assert_allclose(prob.A_eq @ z_free, prob.b_eq, rtol=0.0,
+                               atol=1e-12)
     Hz = prob.H @ z_free
     H = S.T @ (prob.H @ S)
     g = S.T @ (Hz + prob.g)
@@ -784,6 +806,39 @@ def test_single_shooting_is_condensed_multiple_shooting(request, robot, scene):
     np.testing.assert_allclose(X, sol.X, rtol=0.0, atol=1e-8)
     cost = 0.5 * res.z @ (H @ res.z) + g @ res.z + c
     np.testing.assert_allclose(cost, sol.cost, rtol=1e-10, atol=0.0)
+
+
+def test_single_shooting_is_condensed_multiple_shooting(panda7, rng):
+    # single shooting names the multiple-shooting QP, whose states the
+    # rollout z(U) eliminates: both method values build the same QP, bit for
+    # bit, and z(U) of any inputs meets its equality rows
+    N, n = 6, panda7.n
+    q0 = np.array([0.0, -0.3, 0.0, -2.0, 0.0, 1.8, 0.7])
+    x0 = np.concatenate([q0, rng.uniform(-0.1, 0.1, n)])
+    fk = forward_kinematics(panda7, q0)
+    obs = (ball(fk[-1].translation + np.array([0.0, 0.15, 0.1]), radius=0.08),)
+    T_ref = Pose(rotation=fk[-1].rotation.copy(),
+                 translation=fk[-1].translation + np.array([0.0, 0.1, 0.0]))
+    inp = PlannerInput(x0=x0, T_ref=T_ref, obstacles=obs)
+    ms = transcribe(inp, MpcConfig(horizon=N, method="multiple"), panda7)
+    ss = transcribe(inp, MpcConfig(horizon=N, method="single"), panda7)
+    assert ms.n_distance_rows > 0
+    assert ss.n_distance_rows == ms.n_distance_rows
+    assert ss.slack_rows == ms.slack_rows
+    for name in ("H", "A_eq", "A_in"):
+        np.testing.assert_array_equal(getattr(ss, name).toarray(),
+                                      getattr(ms, name).toarray())
+    for name in ("g", "b_eq", "b_in", "z0"):
+        np.testing.assert_array_equal(getattr(ss, name), getattr(ms, name))
+    assert ss.cost_offset == ms.cost_offset
+    for _ in range(2):
+        U = rng.uniform(-1.0, 1.0, (N, n))
+        X = _rollout(ss.x0, U, ss.dt)
+        z = ss.join(X, U)
+        np.testing.assert_allclose(ss.A_eq @ z, ss.b_eq, rtol=0.0, atol=1e-12)
+        X_ss, U_ss = ss.split(z)
+        np.testing.assert_array_equal(X_ss, X)
+        np.testing.assert_array_equal(U_ss, U)
 
 
 def test_both_methods_repair_an_infeasible_start(planar2r):

@@ -1,4 +1,10 @@
-"""Solve layer and the stateful receding-horizon planner."""
+"""Solve layer and the stateful receding-horizon planner.
+
+Status ``infeasible`` is exact: the dual active-set solver proves that no
+point meets every hard row of the QP.  Only ``optimal`` plans are executed;
+``infeasible``, ``max_iters`` (a dual iterate that still violates rows) and
+``singular`` take the fallback path.
+"""
 
 import logging
 from dataclasses import dataclass
@@ -9,7 +15,7 @@ import numpy as np
 from ..model import RobotModel
 from ..se3 import Pose
 from .config import MpcConfig
-from .qp import feasibility_error, make_feasible, solve_qp
+from .qp import feasibility_error, solve_qp
 from .transcription import MpcProblem, PlannerInput, transcribe
 
 log = logging.getLogger(__name__)
@@ -51,23 +57,17 @@ def _evaluate(problem: MpcProblem, z: np.ndarray, iterations: int,
 
 
 def solve(problem: MpcProblem, cfg: MpcConfig) -> MpcSolution:
-    """Solve the transcribed QP; returns the best iterate even on failure.
+    """Solve the transcribed QP; returns the last iterate even on failure.
 
-    Status 'infeasible' means no point satisfying all hard constraints was
-    found (the caller should fall back to its previous plan).
+    Status 'infeasible' means no point meets every hard row (the caller
+    should fall back to its previous plan).
     """
-    z0 = problem.z0
-    if not problem.z0_feasible:
-        repaired = make_feasible(problem.A_eq, problem.b_eq, problem.A_in,
-                                 problem.b_in, z0, problem.slack_rows)
-        if repaired is None:
-            log.warning("QP infeasible (%d distance rows); signalling fallback",
-                        problem.n_distance_rows)
-            return _evaluate(problem, z0, 0, "infeasible", cfg)
-        z0 = repaired
     res = solve_qp(problem.H, problem.g, problem.A_eq, problem.b_eq,
-                   problem.A_in, problem.b_in, z0,
+                   problem.A_in, problem.b_in,
                    max_iters=cfg.max_iters, tol=cfg.kkt_tol)
+    if res.status == "infeasible":
+        log.warning("QP infeasible (%d distance rows); signalling fallback",
+                    problem.n_distance_rows)
     return _evaluate(problem, res.z, res.iterations, res.status, cfg)
 
 
@@ -80,8 +80,9 @@ class PlanStep:
 
 
 class Planner:
-    """Stateful receding-horizon planner: warm starts from the previous
-    solution and shifts it forward when a solve must be skipped."""
+    """Stateful receding-horizon planner: executes each ``optimal`` plan and,
+    when a solve ends otherwise, the previous plan shifted one node further
+    per miss (or a hold at the measured position when there is none)."""
 
     def __init__(self, model: RobotModel, cfg: MpcConfig):
         self.model = model
@@ -92,12 +93,11 @@ class Planner:
     def plan_step(self, x0, T_ref: Pose, obstacles=(),
                   posture_target=None) -> PlanStep:
         inp = PlannerInput(x0=x0, T_ref=T_ref, obstacles=tuple(obstacles),
-                           warm_start=self._last,
                            posture_target=posture_target)
         problem = transcribe(inp, self.cfg, self.model)
         sol = solve(problem, self.cfg)
         n = self.model.n
-        if sol.status != "infeasible":
+        if sol.status == "optimal":
             self._last = sol
             self._cursor = 0
             x_next = sol.X[1]

@@ -1,24 +1,34 @@
-"""Primal active-set solver for the transcribed convex QPs.
+"""Dual active-set solver for the transcribed convex QPs.
 
 Standard form:  min 0.5 z'Hz + g'z  s.t.  A_eq z = b_eq,  A_in z >= b_in.
 SuperLU factors the sparse KKT matrix of H and A_eq; a dense H or
 constraint block is converted to CSR once, on entry.
-The caller supplies a start that already satisfies every constraint; the
-helper :func:`make_feasible` repairs a candidate with a slack subproblem when
-it does not.  All tie-breaks are by lowest row index so repeated solves are
-bit-identical.
 
-Cost per iteration: no KKT backsolve.  The step is the equality-constrained
-minimizer, fixed per factorization, minus the current point, corrected
-through a dense Schur complement of the k working rows (one k-by-k solve);
-the ratio test is one product ``A_in @ p``.  KKT backsolves happen once per
-factorization and once per row added to the working set (:class:`_BaseKkt`).
+Method: the dual active-set method of Goldfarb & Idnani (Math. Programming
+1983) in the Schur-complement form of QPSchur (Bartlett & Biegler, Optim.
+Eng. 2006).  It starts from ``x_eq``, the minimizer under A_eq alone, so it
+needs no feasible start.  Each outer step picks the violated row with the
+largest violation per unit row norm (lowest index on ties) and raises its
+multiplier until the row holds; on the way, a working row whose multiplier
+reaches zero is dropped (a partial step).  Every iterate minimizes the
+objective on the face of its working rows with multipliers >= 0, so the
+first iterate that violates no row is the optimum, and a violated row that
+neither step can move proves the QP infeasible.  Iterates are not primal
+feasible before the last: a solve stopped at ``max_iters`` violates rows.
+All tie-breaks are by lowest index, so repeated solves are bit-identical.
 
-A row blocks the step only when ``a_j.p < -_DIR_TOL |a_j| |p|``.  Rows that
-are linear combinations of the working set show ``a_j.p`` of roundoff size
-along the step; an absolute threshold let them enter, which made the Schur
-complement near-singular, failed the KKT residual check and sent the solve
-up the regularization ladder.  The relative test ignores them.
+Cost per step: one KKT backsolve per outer step, ``y = K0^{-1} [a; 0]`` of
+the chosen row, which the add then reuses.  Each add or drop costs one dense
+k-by-k solve with the Schur complement S of the k working rows
+(:class:`_BaseKkt`); each outer step one product ``A_in @ z``.  The solve
+ends with one certificate, :meth:`_BaseKkt.step` from the final point with
+its KKT residual check and regularization ladder: its step must vanish and
+its multipliers must be >= -tol, or the status is ``singular``.
+
+A row enters on a full step only when ``a.dz > _DIR_TOL |a| |y|``.  A row
+that is a linear combination of the working set leaves ``a.dz`` at roundoff
+size; letting it enter would make S near-singular.  Such a row is met by
+partial steps alone, or proves infeasibility.
 """
 
 from dataclasses import dataclass
@@ -29,15 +39,16 @@ from scipy.sparse.linalg import norm as sparse_norm
 from scipy.sparse.linalg import splu
 
 _STEP_TOL = 1e-9   # relative to 1 + |z|, to ride out KKT solve noise
-_DIR_TOL = 1e-10   # relative to |a_j| |p|, so roundoff never blocks a step
+_DIR_TOL = 1e-10   # relative to |a| |y|, so a dependent row never enters
+_VIOL_TOL = 1e-9   # relative to 1 + |b_j|: a row violated by less holds
 _REG_LADDER = (0.0, 1e-12, 1e-10, 1e-8)
 
 
 @dataclass
 class QpResult:
     z: np.ndarray
-    status: str            # optimal | max_iters | singular
-    iterations: int
+    status: str            # optimal | infeasible | max_iters | singular
+    iterations: int        # rows added plus rows dropped
     working_set: tuple
 
 
@@ -46,14 +57,15 @@ class _BaseKkt:
     applied to it through a Schur complement.
 
     Working-set rows never enter the factorization.  Slot i of the working
-    arrays holds the dense row ``C[i] = a_j`` of inequality row ``rows[i]``
-    and its solve ``Y[i] = K0^{-1} [a_j; 0]``; ``S = C Y[:, :nz]'`` is the
-    Schur complement.  An add does one backsolve and grows S by one row and
-    one column; a drop moves the last slot into the freed one.  The arrays
-    double their capacity when full.  ``x_eq = K0^{-1} [-g; b_eq]`` holds the
-    minimizer under A_eq alone, so at a point z with A_eq z = b_eq the
-    step without working rows is ``x_eq - [z; 0]``.  Each regularization
-    step refactors and recomputes x_eq, Y and S from the cached rows.
+    arrays holds the dense row ``C[i] = a_j`` of inequality row ``rows[i]``,
+    its solve ``Y[i] = K0^{-1} [a_j; 0]`` and its multiplier ``u[i]``;
+    ``S = C Y[:, :nz]'`` is the Schur complement.  An add grows S by one row
+    and one column; a drop moves the last slot into the freed one.  The
+    arrays double their capacity when full.  ``x_eq = K0^{-1} [-g; b_eq]``
+    holds the minimizer under A_eq alone, so at a point z with
+    A_eq z = b_eq the step without working rows is ``x_eq - [z; 0]``.  Each
+    regularization step refactors and recomputes x_eq, Y and S from the
+    cached rows.
     """
 
     def __init__(self, H, g, A_eq, b_eq):
@@ -68,6 +80,7 @@ class _BaseKkt:
         self.rows = np.zeros(32, dtype=int)
         self.C = np.zeros((32, self.nz))
         self.Y = np.zeros((32, self.dim))
+        self.u = np.zeros(32)
         self.S = np.zeros((32, 32))
         self._pos = -1
         self._lu = None
@@ -107,19 +120,18 @@ class _BaseKkt:
     def solve(self, rhs):
         return self._lu.solve(rhs)
 
-    def add(self, row: int, a):
+    def add(self, row: int, a, y, u: float):
+        """Append row ``row`` = a with its solve y and multiplier u."""
         k = self.k
         if k == len(self.rows):  # full: double the capacity
-            self.rows, self.C, self.Y = (
+            self.rows, self.C, self.Y, self.u = (
                 np.resize(arr, (2 * k,) + arr.shape[1:])
-                for arr in (self.rows, self.C, self.Y))
+                for arr in (self.rows, self.C, self.Y, self.u))
             self.S = np.pad(self.S, (0, k))
-        rhs = np.zeros(self.dim)
-        rhs[:self.nz] = a
-        y = self.solve(rhs)
         self.rows[k] = row
         self.C[k] = a
         self.Y[k] = y
+        self.u[k] = u
         self.S[:k, k] = self.C[:k] @ y[:self.nz]
         self.S[k, :k] = self.Y[:k, :self.nz] @ a
         self.S[k, k] = a @ y[:self.nz]
@@ -127,7 +139,7 @@ class _BaseKkt:
 
     def drop(self, slot: int):
         last = self.k - 1
-        for arr in (self.rows, self.C, self.Y, self.S):
+        for arr in (self.rows, self.C, self.Y, self.u, self.S):
             arr[slot] = arr[last]
         self.S[:, slot] = self.S[:, last]
         self.k = last
@@ -193,72 +205,96 @@ def feasibility_error(A_eq, b_eq, A_in, b_in, z):
     return eq_err, in_err
 
 
-def solve_qp(H, g, A_eq, b_eq, A_in, b_in, z0,
-             max_iters: int = 200, tol: float = 1e-8) -> QpResult:
-    H, A_eq, A_in = _csr(H), _csr(A_eq), _csr(A_in)
-    z = np.array(z0, dtype=float)
-    n_in = 0 if A_in is None else A_in.shape[0]
-    if n_in:
-        row_norm = sparse_norm(A_in, axis=1)
-        Az = A_in @ z
-    in_working = np.zeros(n_in, dtype=bool)
-    status = "max_iters"
-    it = 0
-    stall = 0
-    bland = False  # anti-cycling fallback for degenerate active sets
-    base = _BaseKkt(H, np.asarray(g, dtype=float), A_eq, b_eq)
-    if base._lu is None:
-        return QpResult(z=z, status="singular", iterations=0, working_set=())
-    while it < max_iters:
-        it += 1
-        sol = base.step(z)
-        if sol is None:
-            status = "singular"
-            break
-        p, lam = sol
-        step_tol = _STEP_TOL * (1.0 + np.linalg.norm(z, np.inf))
-        if np.linalg.norm(p, np.inf) <= step_tol:
-            if lam.size and lam.min() < -tol:
-                # Bland: lowest row with a negative multiplier; otherwise
-                # the lowest row at the most negative one
-                hit = (lam < -tol) if bland else (lam == lam.min())
-                slot = int(np.flatnonzero(hit)[
-                    np.argmin(base.rows[:base.k][hit])])
-                in_working[base.rows[slot]] = False
-                base.drop(slot)
-                stall += 1
-                if stall >= 50:
-                    bland = True
-                continue
-            status = "optimal"
-            break
-        alpha = 1.0
-        block = -1
-        if n_in:
-            Ap = A_in @ p
-            mask = (~in_working) & (
-                Ap < -_DIR_TOL * row_norm * np.linalg.norm(p))
-            if np.any(mask):
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    ratio = np.where(mask, (b_in - Az) / Ap, np.inf)
-                ratio = np.maximum(ratio, 0.0)
-                a_min = float(ratio.min())
-                if a_min < alpha:
-                    alpha = a_min
-                    block = int(np.argmin(ratio))  # lowest index at the min
-            Az += alpha * Ap
-        z = z + alpha * p
-        if alpha > _STEP_TOL:
-            stall = 0
-        else:
-            stall += 1
-            if stall >= 50:
-                bland = True
-        if block >= 0:
-            base.add(block, _dense_row(A_in, block, z.size))
-            in_working[block] = True
+def _certify(base: _BaseKkt, z, tol: float) -> str:
+    """'optimal' when the working set's KKT step from z vanishes and its
+    multipliers are >= -tol, else 'singular'."""
+    sol = base.step(z)
+    if sol is None:
+        return "singular"
+    p, lam = sol
+    if (np.linalg.norm(p, np.inf) <= _STEP_TOL * (1.0 + np.linalg.norm(z, np.inf))
+            and lam.min(initial=0.0) >= -tol):
+        return "optimal"
+    return "singular"
+
+
+def _partial_step(u, du):
+    """(t, slot): the step at which the first working multiplier falling
+    along du reaches zero, and its slot; (inf, -1) when none falls."""
+    neg = np.flatnonzero(du < 0.0)
+    if not neg.size:
+        return np.inf, -1
+    ratio = -u[neg] / du[neg]
+    i = int(np.argmin(ratio))  # lowest slot at the min
+    return float(ratio[i]), int(neg[i])
+
+
+def _result(base: _BaseKkt, z, status: str, it: int) -> QpResult:
     return QpResult(z=z, status=status, iterations=it,
                     working_set=tuple(sorted(base.rows[:base.k].tolist())))
+
+
+def solve_qp(H, g, A_eq, b_eq, A_in, b_in,
+             max_iters: int = 200, tol: float = 1e-8) -> QpResult:
+    H, A_eq, A_in = _csr(H), _csr(A_eq), _csr(A_in)
+    base = _BaseKkt(H, np.asarray(g, dtype=float), A_eq, b_eq)
+    nz = base.nz
+    if base._lu is None:
+        return QpResult(z=np.zeros(nz), status="singular", iterations=0,
+                        working_set=())
+    z = base.x_eq[:nz].copy()
+    n_in = 0 if A_in is None else A_in.shape[0]
+    if n_in:
+        b_in = np.asarray(b_in, dtype=float)
+        # an all-zero violated row ranks first and proves infeasibility
+        row_norm = np.maximum(sparse_norm(A_in, axis=1), np.finfo(float).tiny)
+        viol_tol = -_VIOL_TOL * (1.0 + np.abs(b_in))
+        in_working = np.zeros(n_in, dtype=bool)
+    it = 0
+    while n_in:
+        s = A_in @ z - b_in
+        viol = np.where(in_working | (s >= viol_tol), 0.0, -s / row_norm)
+        j = int(np.argmax(viol))  # lowest index at the max
+        if viol[j] <= 0.0:
+            break
+        if it >= max_iters:
+            return _result(base, z, "max_iters", it)
+        a = _dense_row(A_in, j, nz)
+        rhs = np.zeros(base.dim)
+        rhs[:nz] = a
+        y = base.solve(rhs)
+        yz = y[:nz]
+        dir_tol = _DIR_TOL * np.linalg.norm(a) * np.linalg.norm(yz)
+        s_j, u_j = float(s[j]), 0.0
+        while True:  # partial steps until the full step adds row j
+            k = base.k
+            dz, du = yz, np.zeros(0)
+            if k:
+                try:
+                    du = -np.linalg.solve(base.S[:k, :k], base.C[:k] @ yz)
+                except np.linalg.LinAlgError:
+                    return _result(base, z, "singular", it)
+                dz = yz + base.Y[:k, :nz].T @ du
+            ad = float(a @ dz)
+            t_full = -s_j / ad if ad > dir_tol else np.inf
+            t_part, slot = _partial_step(base.u[:k], du)
+            t = min(t_full, t_part)
+            if t == np.inf:
+                return _result(base, z, "infeasible", it)
+            z = z + t * dz
+            base.u[:k] += t * du
+            u_j += t
+            s_j += t * ad
+            it += 1
+            if t_full <= t_part:
+                base.add(j, a, y, u_j)
+                in_working[j] = True
+                break
+            in_working[base.rows[slot]] = False
+            base.drop(slot)
+            if it >= max_iters:
+                return _result(base, z, "max_iters", it)
+    return _result(base, z, _certify(base, z, tol), it)
 
 
 def make_feasible(A_eq, b_eq, A_in, b_in, z0, slack_rows,
@@ -298,13 +334,10 @@ def make_feasible(A_eq, b_eq, A_in, b_in, z0, slack_rows,
                            format="csr")
     g = np.concatenate([-2 * eps * z0, np.zeros(ns)])
     b_in_full = np.concatenate([b_in, np.zeros(ns)])
-    s0 = viol[slack_rows] + 1e-12
-    z_aug0 = np.concatenate([z0, s0])
     res = solve_qp(H, g, A_eq_aug,
                    None if A_eq_aug is None else np.asarray(b_eq, dtype=float),
-                   A_in_full, b_in_full, z_aug0, max_iters=max_iters,
-                   tol=1e-10)
+                   A_in_full, b_in_full, max_iters=max_iters, tol=1e-10)
     s_final = res.z[nz:]
-    if res.status in ("optimal", "max_iters") and float(np.abs(s_final).max(initial=0.0)) <= slack_tol:
+    if res.status == "optimal" and float(np.abs(s_final).max(initial=0.0)) <= slack_tol:
         return res.z[:nz]
     return None

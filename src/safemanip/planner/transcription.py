@@ -6,12 +6,12 @@ order [x_0, u_0, x_1, u_1, ..., x_N] keeps the KKT system banded.  The
 planner's dynamics are linear, so single shooting is this QP with the states
 eliminated (Axehill, "Controlling the level of sparsity in MPC", Systems &
 Control Letters 2015): both have the same optimum, and ``method: single``
-builds and solves this same QP.
+builds and solves this same QP.  The QP carries no starting point: the dual
+solver of ``qp.py`` starts from the minimizer under the equality rows alone.
 """
 
 import logging
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 import scipy.linalg
@@ -32,7 +32,6 @@ class PlannerInput:
     x0: np.ndarray
     T_ref: Pose
     obstacles: tuple = ()
-    warm_start: object = None
     posture_target: object = None
 
     def __post_init__(self):
@@ -57,9 +56,6 @@ class MpcProblem:
     b_eq: np.ndarray
     A_in: object
     b_in: np.ndarray
-    z0: np.ndarray
-    z0_feasible: bool
-    slack_rows: tuple
     n_distance_rows: int
     x0: np.ndarray
 
@@ -73,13 +69,6 @@ class MpcProblem:
         z = np.asarray(z, dtype=float).reshape(-1)
         nodes = np.concatenate([z, np.zeros(n)]).reshape(N + 1, 3 * n)
         return nodes[:, :2 * n].copy(), nodes[:N, 2 * n:].copy()
-
-    def join(self, X: np.ndarray, U: np.ndarray) -> np.ndarray:
-        n, N = self.n, self.N
-        nodes = np.zeros((N + 1, 3 * n))
-        nodes[:, :2 * n] = X
-        nodes[:N, 2 * n:] = U
-        return nodes.reshape(-1)[:N * 3 * n + 2 * n]
 
 
 def _clamp_state(model: RobotModel, x0: np.ndarray, dt: float) -> np.ndarray:
@@ -99,41 +88,6 @@ def _clamp_state(model: RobotModel, x0: np.ndarray, dt: float) -> np.ndarray:
     if not np.allclose(np.concatenate([q, qd]), x0):
         log.warning("measured state outside the feasible envelope; clamped")
     return np.concatenate([q, qd])
-
-
-def _rollout(x0: np.ndarray, U: np.ndarray, dt: float) -> np.ndarray:
-    n = U.shape[1]
-    X = np.empty((U.shape[0] + 1, 2 * n))
-    X[0] = x0
-    for k in range(U.shape[0]):
-        X[k + 1, :n] = X[k, :n] + dt * X[k, n:]
-        X[k + 1, n:] = X[k, n:] + dt * U[k]
-    return X
-
-
-def _braking_inputs(model: RobotModel, x0: np.ndarray, N: int, dt: float) -> np.ndarray:
-    """Inputs that decelerate to rest at the acceleration limit; defect- and
-    velocity-feasible by construction."""
-    n = model.n
-    a = model.limits.acceleration
-    U = np.empty((N, n))
-    qd = x0[n:].copy()
-    for k in range(N):
-        U[k] = np.clip(-qd / dt, -a, a)
-        qd = qd + dt * U[k]
-    return U
-
-
-def _warm_inputs(warm, model: RobotModel, N: int) -> Optional[np.ndarray]:
-    """Shift-by-one input sequence from a previous solution (last repeated),
-    clipped into the input box."""
-    if warm is None or warm.U is None:
-        return None
-    U_prev = np.asarray(warm.U)
-    if U_prev.shape != (N, model.n):
-        return None
-    U = np.vstack([U_prev[1:], U_prev[-1:]])
-    return np.clip(U, -model.limits.acceleration, model.limits.acceleration)
 
 
 def _place(groups, n: int, N: int):
@@ -205,11 +159,7 @@ def _equality_rows(x0: np.ndarray, N: int, dt: float):
 def _inequality_rows(model: RobotModel, cfg: MpcConfig, ctx: PlannerContext):
     """A_in z >= b_in: velocity box on nodes 1..N, position box on nodes 2..N
     (q_1 = q_0 + dt qd_0 is fixed by the pin, so no decision variable can act
-    on a node-1 position row), input boxes, distance rows from node 2.
-
-    Returns (A_in, b_in, slack_rows); position and distance rows are the
-    ones a feasibility repair may relax.
-    """
+    on a node-1 position row), input boxes, distance rows from node 2."""
     n, N = model.n, cfg.horizon
     lo, hi = model.limits.position_lower, model.limits.position_upper
     vmax, amax = model.limits.velocity, model.limits.acceleration
@@ -223,32 +173,16 @@ def _inequality_rows(model: RobotModel, cfg: MpcConfig, ctx: PlannerContext):
     inputs = np.zeros((2 * n, 3 * n))
     inputs[np.arange(2 * n), 2 * n + np.repeat(np.arange(n), 2)] = \
         np.tile([1.0, -1.0], n)
-    # (rows on one node, right-hand sides, relaxable, nodes)
-    groups = [(box[~is_q], box_b[~is_q], is_q[~is_q], [1]),
-              (box, box_b, is_q, range(2, N + 1)),
-              (inputs, np.repeat(-amax, 2), np.zeros(2 * n, bool), range(N))]
+    # (rows on one node, right-hand sides, nodes)
+    groups = [(box[~is_q], box_b[~is_q], [1]),
+              (box, box_b, range(2, N + 1)),
+              (inputs, np.repeat(-amax, 2), range(N))]
     for row in ctx.distance_rows:
         rhs = cfg.d_th1 - row.distance + float(row.gradient @ ctx.q)
-        groups.append((row.gradient[None], [rhs], [True], range(2, N + 1)))
-    A_in = _place([(rows, nodes) for rows, _, _, nodes in groups], n, N)
-    b_in = np.concatenate([np.tile(b, len(nodes)) for _, b, _, nodes in groups])
-    relax = np.concatenate([np.tile(s, len(nodes)) for _, _, s, nodes in groups])
-    return A_in, b_in, tuple(np.flatnonzero(relax).tolist())
-
-
-def _feasible_start(problem: MpcProblem, model: RobotModel, warm):
-    """Warm-shifted inputs if they satisfy every row of the problem, else
-    braking; returns (z0, feasible)."""
-    def start(U):
-        z = problem.join(_rollout(problem.x0, U, problem.dt), U)
-        return z, not np.any(problem.A_in @ z < problem.b_in - 1e-9)
-
-    U = _warm_inputs(warm, model, problem.N)
-    if U is not None:
-        z0, ok = start(U)
-        if ok:
-            return z0, True
-    return start(_braking_inputs(model, problem.x0, problem.N, problem.dt))
+        groups.append((row.gradient[None], [rhs], range(2, N + 1)))
+    A_in = _place([(rows, nodes) for rows, _, nodes in groups], n, N)
+    b_in = np.concatenate([np.tile(b, len(nodes)) for _, b, nodes in groups])
+    return A_in, b_in
 
 
 def transcribe(inp: PlannerInput, cfg: MpcConfig, model: RobotModel) -> MpcProblem:
@@ -257,14 +191,10 @@ def transcribe(inp: PlannerInput, cfg: MpcConfig, model: RobotModel) -> MpcProbl
     ctx = build_context(model, x0[:n], x0[n:], inp.T_ref, inp.obstacles, cfg,
                         posture_target=inp.posture_target)
     H, g, c = _cost(ctx, N)
-    A_in, b_in, slack_rows = _inequality_rows(model, cfg, ctx)
+    A_in, b_in = _inequality_rows(model, cfg, ctx)
     A_eq, b_eq = _equality_rows(x0, N, dt)
-    problem = MpcProblem(n=n, N=N, dt=dt, context=ctx,
-                         H=H, g=g, cost_offset=c, A_eq=A_eq, b_eq=b_eq,
-                         A_in=A_in, b_in=b_in,
-                         z0=None, z0_feasible=False, slack_rows=slack_rows,
-                         n_distance_rows=len(ctx.distance_rows) * (N - 1),
-                         x0=x0)
-    problem.z0, problem.z0_feasible = _feasible_start(problem, model,
-                                                      inp.warm_start)
-    return problem
+    return MpcProblem(n=n, N=N, dt=dt, context=ctx,
+                      H=H, g=g, cost_offset=c, A_eq=A_eq, b_eq=b_eq,
+                      A_in=A_in, b_in=b_in,
+                      n_distance_rows=len(ctx.distance_rows) * (N - 1),
+                      x0=x0)

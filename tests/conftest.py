@@ -54,3 +54,21 @@ def planar3r_gravity():
 @pytest.fixture(scope="session")
 def panda7():
     return load_robot("panda7")
+
+
+@pytest.fixture
+def recorded_solves(monkeypatch):
+    """Every (problem, solution) pair that ``planner.solve`` returns while
+    the test runs, in call order; ``Planner.plan_step`` and ``sim.run``
+    reach it through the module attribute, which this wraps."""
+    import safemanip.planner.planner as planner_mod
+    pairs = []
+    real_solve = planner_mod.solve
+
+    def recording(problem, cfg):
+        sol = real_solve(problem, cfg)
+        pairs.append((problem, sol))
+        return sol
+
+    monkeypatch.setattr(planner_mod, "solve", recording)
+    return pairs

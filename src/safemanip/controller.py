@@ -32,7 +32,7 @@ from .model import (
     RobotModel,
     body_jacobian,
     forward_kinematics,
-    point_jacobian_world,
+    point_jacobian,
     robust_pinv,
 )
 from .se3 import Pose, pose_diff
@@ -231,8 +231,8 @@ def contact_direction(model: RobotModel, kin: KinState, link: int, r_hat):
     is taken at the link's far end.  ``n_c`` and ``J_tilde`` are None when
     that force is negligible, leaving the direction undefined.
     """
-    p_distal = kin.frames[link + 1].translation
-    J_c = point_jacobian_world(model, kin.frames, link, p_distal)
+    p_distal = kin.frames.t[link + 1]
+    J_c = point_jacobian(model, kin.frames, link, p_distal)
     f = robust_pinv(J_c).T @ np.asarray(r_hat, dtype=float).reshape(-1)
     norm = float(np.linalg.norm(f))
     if norm <= _DIRECTION_EPS:

@@ -184,10 +184,9 @@ def jacobian_dot_qd(model: RobotModel, frames: Frames, qd) -> np.ndarray:
     qd = np.asarray(qd, dtype=float).reshape(-1)
     _, _, _, VxS = _velocities(model, frames, qd)
     alpha, a_origin = (VxS * qd[:, None]).sum(axis=0).reshape(2, 3)
-    ee = frames[-1]
-    RT = ee.rotation.T
+    RT = frames.R[-1].T
     return np.concatenate([RT @ alpha,
-                           RT @ (a_origin + cross3(alpha, ee.translation))])
+                           RT @ (a_origin + cross3(alpha, frames.t[-1]))])
 
 
 _TASK_COND_LIMIT = 1e12

@@ -4,9 +4,9 @@ Primitives are spheres and capsules; both reduce to a point/segment core plus
 a radius, so every query is an exact segment-segment problem with closed-form
 witness points.  Boxes are covered by a capsule set at load time
 (:func:`box_capsules`).  One kernel, :func:`_segment_closest_points`, solves
-those problems for pairs stacked along leading axes.  :func:`min_distance` is
-that kernel on one pair; :func:`closest_pair_per_link` places each body's and
-each obstacle's core once and solves every body-obstacle pair in one call.
+those problems for pairs stacked along leading axes;
+:func:`closest_pair_per_link` places each body's and each obstacle's core
+once and solves every body-obstacle pair in one call.
 
 Sign and direction conventions:
   * ``distance`` is the surface separation; it goes negative on penetration
@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .model import RobotModel, forward_kinematics, point_jacobian_world
+from .model import Frames, RobotModel, forward_kinematics, point_jacobian
 from .se3 import Pose, cross3
 
 _DEGENERATE_AXIS = np.array([0.0, 0.0, 1.0])
@@ -173,19 +173,6 @@ def _pairwise(cores_a, cores_b):
             cb + rb[:, None] * normal, normal)
 
 
-def min_distance(shape_a, pose_a: Pose, shape_b, pose_b: Pose) -> DistanceResult:
-    """Exact minimum distance between two placed primitives.
-
-    A is the robot-side body, B the obstacle.  Returns surface witnesses and
-    the escape normal; see the module docstring for the penetration and
-    degenerate-core conventions.
-    """
-    d, p_robot, p_obstacle, normal = _pairwise([_core_segment(shape_a, pose_a)],
-                                               [_core_segment(shape_b, pose_b)])
-    return DistanceResult(float(d[0, 0]), p_robot[0, 0], p_obstacle[0, 0],
-                          normal[0, 0], link=-1)
-
-
 @dataclass(frozen=True)
 class DistanceSweep:
     """Per-collision-body closest results plus the global minimum."""
@@ -217,7 +204,7 @@ def closest_pair_per_link(model: RobotModel, q, obstacles: Sequence[Obstacle],
     return DistanceSweep(results=per_body, min_index=int(np.argmin(d.min(axis=1))))
 
 
-def distance_gradient(model: RobotModel, frames: Sequence[Pose],
+def distance_gradient(model: RobotModel, frames: Frames,
                       result: DistanceResult) -> np.ndarray:
     """Configuration-space gradient ``n^T J_A`` of the pair distance.
 
@@ -226,7 +213,7 @@ def distance_gradient(model: RobotModel, frames: Sequence[Pose],
     """
     if abs(result.distance) < _CORE_EPS or np.linalg.norm(result.normal) < 0.5:
         raise GradientUndefinedError("witness normal degenerate at zero distance")
-    J_A = point_jacobian_world(model, frames, result.link, result.p_robot)
+    J_A = point_jacobian(model, frames, result.link, result.p_robot)
     return result.normal @ J_A
 
 

@@ -5,27 +5,26 @@ of joint ``i`` after its rotation; link ``i`` is rigidly attached to it.  The
 end-effector frame hangs off the last joint through ``ee_frame``.
 
 Jacobian conventions:
-  * ``geometric_jacobian`` is the world-frame hybrid Jacobian: angular rows on
-    top, then the linear velocity of the frame origin, both in world axes.
-  * ``body_jacobian`` re-expresses both blocks in the end-effector frame so it
-    is consistent with the SE(3)-log pose difference in :mod:`safemanip.se3`.
-  * ``point_jacobian`` is the 3 x n world-frame Jacobian of a point riding on
-    a link (used by collision witnesses and contact localization).
+  * ``body_jacobian`` is the 6 x n end-effector Jacobian with both blocks in
+    the end-effector frame, so it is consistent with the SE(3)-log pose
+    difference in :mod:`safemanip.se3`.
+  * ``point_jacobian`` is the 3 x n world-frame Jacobian of a world point
+    riding on a link (used by collision witnesses and contact localization).
 
 Per-state convention: ``forward_kinematics`` is the one place that walks the
 chain and the one place that turns link data into world coordinates.  It
-returns :class:`Frames`, the list of the n + 1 poses, which also carries each
-link's world joint axis, joint origin, COM and COM inertia as read-only
-arrays; every kinematic, dynamics and distance primitive takes these
-``frames`` and never recomputes them.  :mod:`safemanip.dynamics` caches the
-joint motion subspaces and link spatial inertias of the state, in Plücker
-coordinates at the world origin, on the same frames (``Frames.spatial``) and
-runs its recursions over them as prefix sums (Featherstone, *Rigid Body
-Dynamics Algorithms*, 2008).  The closed loop builds one
-:class:`safemanip.dynamics.KinState` per state.
+returns :class:`Frames`, read-only arrays over the chain: the rotations and
+translations of the n link frames and the end-effector, and each link's world
+joint axis, joint origin, COM and COM inertia; every kinematic, dynamics and
+distance primitive takes these ``frames`` and never recomputes them.
+:mod:`safemanip.dynamics` caches the joint motion subspaces and link spatial
+inertias of the state, in Plücker coordinates at the world origin, on the
+same frames (``Frames.spatial``) and runs its recursions over them as prefix
+sums (Featherstone, *Rigid Body Dynamics Algorithms*, 2008).  The closed loop
+builds one :class:`safemanip.dynamics.KinState` per state.
 
 :class:`RobotModel` stacks its per-joint constants once, so the one Python
-loop per link left here is the pose chain in ``forward_kinematics``.
+loop per link left here is the transform chain in ``forward_kinematics``.
 """
 
 from __future__ import annotations
@@ -165,29 +164,37 @@ class RobotModel:
         return q
 
 
-class Frames(list):
-    """World poses of every link frame, then the end-effector (n + 1 poses).
+class Frames:
+    """World frames of the n links, then the end-effector, as read-only arrays.
 
-    Row i of each read-only ``(n, ...)`` array is a world quantity of link i:
-    ``axes`` its joint axis, ``origins`` its joint origin (the translation of
-    frame i), ``coms`` its center of mass and ``inertias`` its rotational
-    inertia about the COM.  ``spatial`` is the :mod:`safemanip.dynamics`
-    cache of these frames, None until it is built.
+    ``R`` (n + 1, 3, 3) and ``t`` (n + 1, 3) are the rotations and
+    translations of link frames 0..n-1, then of the end-effector in the last
+    row; ``frames[i]`` is ``Pose(R[i], t[i])``.  Row i of each ``(n, ...)``
+    array is a world quantity of link i: ``axes`` its joint axis,
+    ``origins`` its joint origin (the view ``t[:n]``), ``coms`` its center
+    of mass and ``inertias`` its rotational inertia about the COM.
+    ``spatial`` is the :mod:`safemanip.dynamics` cache of these frames, None
+    until it is built.
     """
 
-    __slots__ = ("axes", "origins", "coms", "inertias", "spatial")
+    __slots__ = ("R", "t", "axes", "coms", "inertias", "origins", "spatial")
 
-    def __init__(self, poses, axes, origins, coms, inertias):
-        super().__init__(poses)
-        for name, rows in zip(self.__slots__, (axes, origins, coms, inertias)):
-            stacked = np.array(rows)
-            stacked.flags.writeable = False
-            setattr(self, name, stacked)
+    def __init__(self, R, t, axes, coms, inertias):
+        for name, rows in zip(self.__slots__, (R, t, axes, coms, inertias)):
+            rows.flags.writeable = False
+            setattr(self, name, rows)
+        self.origins = t[:-1]
         self.spatial = None
+
+    def __len__(self) -> int:
+        return len(self.t)
+
+    def __getitem__(self, i) -> Pose:
+        return Pose(self.R[i], self.t[i])
 
 
 def forward_kinematics(model: RobotModel, q: np.ndarray) -> Frames:
-    """Link and end-effector poses of ``q`` and the world link quantities."""
+    """Link and end-effector frames of ``q`` and the world link quantities."""
     q = model.check_q(q)
     # local transforms: the origin, then R0 (I + sin q K + (1 - cos q) K^2)
     T = model.origin_transforms.copy()
@@ -195,12 +202,15 @@ def forward_kinematics(model: RobotModel, q: np.ndarray) -> Frames:
     T[:, :3, :3] += (1.0 - np.cos(q))[:, None, None] * model.origin_rk2
     for i in range(1, model.n):
         T[i] = T[i - 1] @ T[i]
-    R, t = T[:, :3, :3].copy(), T[:, :3, 3]
-    poses = [Pose(Ri, ti) for Ri, ti in zip(R, t)]
-    poses.append(poses[-1] @ model.ee_frame)
-    return Frames(poses, (R @ model.axes[:, :, None])[..., 0], t,
-                  (R @ model.coms[:, :, None])[..., 0] + t,
-                  R @ model.inertias @ R.transpose(0, 2, 1))
+    R, t = np.empty((model.n + 1, 3, 3)), np.empty((model.n + 1, 3))
+    R[:-1], t[:-1] = T[:, :3, :3], T[:, :3, 3]
+    # the products of Pose.compose, so the end-effector row is bitwise equal
+    R[-1] = R[-2] @ model.ee_frame.rotation
+    t[-1] = R[-2] @ model.ee_frame.translation + t[-2]
+    links = R[:-1]
+    return Frames(R, t, (links @ model.axes[:, :, None])[..., 0],
+                  (links @ model.coms[:, :, None])[..., 0] + t[:-1],
+                  links @ model.inertias @ links.transpose(0, 2, 1))
 
 
 # column orders of the cross product's terms: a x b = a[P] b[Q] - a[Q] b[P]
@@ -215,44 +225,16 @@ def cross_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             - a.take(_Q, axis=1) * b.take(_P, axis=1))
 
 
-def geometric_jacobian(model: RobotModel, frames: Frames,
-                       frame: int = -1) -> np.ndarray:
-    """6 x n world-frame hybrid Jacobian of a link frame (default: EE).
-
-    ``frame`` indexes link frames 0..n-1; -1 or n selects the end-effector.
-    Columns of joints downstream of the frame are zero.
-    """
-    if frame in (-1, model.n):
-        target, last = frames[-1], model.n - 1
-    elif 0 <= frame < model.n:
-        target, last = frames[frame], frame
-    else:
-        raise ValueError(f"invalid frame index {frame} for {model.n}-joint chain")
-    axes = frames.axes[: last + 1]
-    J = np.zeros((6, model.n))
-    J[:3, : last + 1] = axes.T
-    J[3:, : last + 1] = cross_rows(
-        axes, target.translation - frames.origins[: last + 1]).T
-    return J
-
-
 def point_jacobian(model: RobotModel, frames: Frames, link: int,
-                   point_local: np.ndarray = (0.0, 0.0, 0.0)) -> np.ndarray:
-    """3 x n world-frame Jacobian of a point attached to ``link``."""
+                   point: np.ndarray) -> np.ndarray:
+    """3 x n world-frame Jacobian of the world point ``point`` riding on
+    ``link``; the columns of joints past ``link`` are zero."""
     if not 0 <= link < model.n:
         raise ValueError(f"invalid link index {link} for {model.n}-joint chain")
-    p = frames[link].apply(np.asarray(point_local, dtype=float))
     J = np.zeros((3, model.n))
     J[:, : link + 1] = cross_rows(frames.axes[: link + 1],
-                                  p - frames.origins[: link + 1]).T
+                                  point - frames.origins[: link + 1]).T
     return J
-
-
-def point_jacobian_world(model: RobotModel, frames: Frames, link: int,
-                         point_world: np.ndarray) -> np.ndarray:
-    """Like :func:`point_jacobian` but for a point already given in world."""
-    local = frames[link].inverse().apply(point_world)
-    return point_jacobian(model, frames, link, local)
 
 
 def body_jacobian(model: RobotModel, frames: Frames) -> np.ndarray:
@@ -262,12 +244,9 @@ def body_jacobian(model: RobotModel, frames: Frames) -> np.ndarray:
     rate of ``se3.pose_diff`` along the motion, so it pairs correctly with
     log-based pose errors.
     """
-    J = geometric_jacobian(model, frames, frame=-1)
-    RT = frames[-1].rotation.T
-    Jb = np.empty_like(J)
-    Jb[:3] = RT @ J[:3]
-    Jb[3:] = RT @ J[3:]
-    return Jb
+    RT = frames.R[-1].T
+    linear = cross_rows(frames.axes, frames.t[-1] - frames.origins)
+    return np.concatenate((RT @ frames.axes.T, RT @ linear.T))
 
 
 # Damped least squares kicks in automatically near singularities; see the
@@ -291,6 +270,4 @@ def robust_pinv(J: np.ndarray) -> np.ndarray:
 def robust_null_projector(J: np.ndarray) -> np.ndarray:
     """Null-space projector ``N = I - robust_pinv(J) J``."""
     J = np.asarray(J, dtype=float)
-    if J.ndim == 1:
-        J = J.reshape(1, -1)
     return np.eye(J.shape[1]) - robust_pinv(J) @ J

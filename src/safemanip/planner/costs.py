@@ -28,7 +28,7 @@ from ..model import (
     RobotModel,
     body_jacobian,
     forward_kinematics,
-    point_jacobian_world,
+    point_jacobian,
     robust_null_projector,
     robust_pinv,
 )
@@ -80,7 +80,6 @@ class PlannerContext:
 
     q: np.ndarray
     qd: np.ndarray
-    T_now: Pose
     J_task: np.ndarray
     V_ref: np.ndarray
     N_t: np.ndarray
@@ -100,7 +99,7 @@ class PlannerContext:
 
 def _repulsion_target(model: RobotModel, frames, qd, result: DistanceResult,
                       cfg) -> np.ndarray:
-    J_w = point_jacobian_world(model, frames, result.link, result.p_robot)
+    J_w = point_jacobian(model, frames, result.link, result.p_robot)
     v_now = J_w @ qd
     v_plus = v_now + repulsive_velocity(result, cfg)
     return robust_pinv(J_w) @ v_plus
@@ -118,9 +117,8 @@ def build_context(model: RobotModel, q, qd, T_ref: Pose,
     q = np.asarray(q, dtype=float).reshape(-1)
     qd = np.asarray(qd, dtype=float).reshape(-1)
     fk = forward_kinematics(model, q)
-    T_now = fk[-1]
     J_task = body_jacobian(model, fk)
-    V_ref = pose_diff(T_now, T_ref)
+    V_ref = pose_diff(fk[-1], T_ref)
     N_t = robust_null_projector(J_task)
 
     sweep = closest_pair_per_link(model, q, obstacles, fk=fk)
@@ -159,7 +157,7 @@ def build_context(model: RobotModel, q, qd, T_ref: Pose,
     S = cfg.task_selection
     q_rep, q_s, r = cfg.stage_weights(model.n)
     return PlannerContext(
-        q=q, qd=qd, T_now=T_now, J_task=J_task, V_ref=V_ref, N_t=N_t,
+        q=q, qd=qd, J_task=J_task, V_ref=V_ref, N_t=N_t,
         lam=lam, d_min=d_min,
         W_stage=lam * S * cfg.q_ee,
         W_terminal=lam * S * cfg.q_ee_terminal,

@@ -41,7 +41,7 @@ from .dynamics import KinState, forward_dynamics
 # unused here; perfbench/test_perfbench.py checks its hook patches this binding
 from .dynamics import mass_matrix  # noqa: F401
 from .geometry import closest_pair_per_link
-from .model import RobotModel, forward_kinematics, point_jacobian_world
+from .model import RobotModel, forward_kinematics, point_jacobian
 from .planner import Planner
 from .scenario import Scenario
 from .se3 import pose_error_norm
@@ -304,7 +304,7 @@ def run(scenario: Scenario, out_dir=None) -> RunReport:
         tau_ext = None
         for ev in scenario.external_torque_events(t):
             p_world = kin.frames[ev.link].apply(ev.point)
-            Jc = point_jacobian_world(model, kin.frames, ev.link, p_world)
+            Jc = point_jacobian(model, kin.frames, ev.link, p_world)
             contrib = Jc.T @ ev.force
             tau_ext = contrib if tau_ext is None else tau_ext + contrib
 

@@ -28,7 +28,7 @@ from safemanip.dynamics import (
 from safemanip.model import (
     body_jacobian,
     forward_kinematics,
-    point_jacobian_world,
+    point_jacobian,
 )
 from safemanip.sim import rk4_step
 
@@ -67,7 +67,7 @@ def run_episode(model, q0, gains, duration, dt, push, params=None,
             if p_local is None:
                 p_local = fk[link].inverse().apply(fk[link + 1].translation)
             p_world = fk[link].apply(p_local)
-            Jc = point_jacobian_world(model, fk, link, p_world)
+            Jc = point_jacobian(model, fk, link, p_world)
             tau_ext = Jc.T @ force
         if reference is not None:
             q_des, qd_des = reference(t)
@@ -321,7 +321,7 @@ class TestDetection:
         q = np.array([0.0, -0.6, 0.0, -2.0, 0.0, 1.6, 0.8])
         link = 4
         fk = forward_kinematics(panda7, q)
-        Jc = point_jacobian_world(panda7, fk, link, fk[link + 1].translation)
+        Jc = point_jacobian(panda7, fk, link, fk[link + 1].translation)
         _, _, Vt = np.linalg.svd(Jc)
         null = Vt[3:]
         r = null[np.argmax(np.abs(null[:, link]))]
@@ -355,7 +355,7 @@ class TestDetection:
         q = np.array([0.0, -0.6, 0.0, -2.0, 0.0, 1.6, 0.8])
         kin = at_rest(panda7, q)
         fk = kin.frames
-        Jc = point_jacobian_world(panda7, fk, 5, fk[6].translation)
+        Jc = point_jacobian(panda7, fk, 5, fk[6].translation)
         null = np.linalg.svd(Jc)[2][3:]
         r = null[np.argmax(np.abs(null[:, 5]))]
         r = r * (4.0 / abs(r[5]))
@@ -384,7 +384,7 @@ class TestReducedContactJacobian:
         fk = forward_kinematics(m, q)
         tip = fk[2].translation
         F = np.array([0.6, -0.8, 0.0]) * 20.0
-        Jc = point_jacobian_world(m, fk, 1, tip)
+        Jc = point_jacobian(m, fk, 1, tip)
         n_c, J_tilde, norm = contact_direction(m, at_rest(m, q), 1, Jc.T @ F)
         np.testing.assert_allclose(norm, 20.0, rtol=1e-9)
         angle = np.degrees(np.arccos(np.clip(n_c @ (F / 20.0), -1.0, 1.0)))
@@ -471,7 +471,7 @@ class TestContactSafeTorque:
         kin = at_rest(m, q)
         fk = kin.frames
         tip = fk[2].translation
-        Jc = point_jacobian_world(m, fk, 1, tip)
+        Jc = point_jacobian(m, fk, 1, tip)
         r = Jc.T @ np.array([0.0, -10.0, 0.0])
         n_c, J_tilde, _ = contact_direction(m, kin, 1, r)
         info = ContactInfo(link_index=1, n_c=n_c, J_tilde=J_tilde,
@@ -584,7 +584,7 @@ class TestModeMachine:
             pushing = 0.2 <= t < 0.6 or 1.6 <= t < 2.0
             if pushing:
                 tip = kin.frames[2].translation
-                Jc = point_jacobian_world(m, kin.frames, 1, tip)
+                Jc = point_jacobian(m, kin.frames, 1, tip)
                 tau_ext = Jc.T @ (30.0 * tip / np.linalg.norm(tip))
             mode, tau = mode_step(st, m, t, dt, kin, q0, np.zeros(2), gains)
             saw.add(mode)
@@ -607,7 +607,7 @@ class TestModeMachine:
         link = 3
         d = np.array([0.869, -0.004, -0.494])
         d = d / np.linalg.norm(d)
-        Jc = point_jacobian_world(m, fk0, link, fk0[link + 1].translation)
+        Jc = point_jacobian(m, fk0, link, fk0[link + 1].translation)
         tau_ext = Jc.T @ (35.0 * d)
         assert abs(tau_ext[link]) > 3.5 and np.abs(tau_ext).max() > 14.0
         rec = run_episode(m, q0, GainSet.default(7), 0.6, 1e-3,

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,14 +8,16 @@ from hypothesis import strategies as st
 from conftest import min_result
 from safemanip.geometry import (
     Capsule,
+    DistanceResult,
     GradientUndefinedError,
     Obstacle,
     Sphere,
     box_capsules,
     closest_pair_per_link,
     distance_gradient,
+    _core_segment,
+    _pairwise,
     _segment_closest_points,
-    min_distance,
 )
 from safemanip.model import forward_kinematics
 from safemanip.se3 import Pose
@@ -21,6 +25,15 @@ from safemanip.se3 import Pose
 
 def at(xyz):
     return Pose(np.eye(3), np.asarray(xyz, float))
+
+
+def min_distance(shape_a, pose_a, shape_b, pose_b):
+    """The distance kernel on one pair of placed primitives: A is the
+    robot-side body, B the obstacle."""
+    d, p_robot, p_obstacle, normal = _pairwise([_core_segment(shape_a, pose_a)],
+                                               [_core_segment(shape_b, pose_b)])
+    return DistanceResult(float(d[0, 0]), p_robot[0, 0], p_obstacle[0, 0],
+                          normal[0, 0], link=-1)
 
 
 def test_sphere_sphere_example():
@@ -339,6 +352,28 @@ def test_box_capsules_cover_box(rng):
                 inside = True
                 break
         assert inside
+
+
+def test_box_capsules_cover_box_wider_cross_side_second():
+    # the longest side is z and the wider cross side y comes after x, so the
+    # strips are laid along y; every corner, the farthest point of the box
+    # from its strip's axis, lies inside the union of the capsules
+    size = np.array([0.25, 0.5, 1.0])
+    caps = box_capsules(size)
+    assert len(caps) == 2
+    for cap in caps:
+        assert cap.a[0] == cap.b[0] == 0.0 and cap.a[1] == cap.b[1] != 0.0
+        assert (cap.a[2], cap.b[2]) == (-0.5, 0.5)
+    for signs in itertools.product((-0.5, 0.5), repeat=3):
+        corner = np.array(signs) * size
+        assert min(np.linalg.norm(corner - _closest_on_axis(corner, cap))
+                   - cap.radius for cap in caps) <= 1e-12
+
+
+def _closest_on_axis(p, cap):
+    t = np.clip((p - cap.a) @ (cap.b - cap.a)
+                / ((cap.b - cap.a) @ (cap.b - cap.a)), 0.0, 1.0)
+    return cap.a + t * (cap.b - cap.a)
 
 
 def test_box_capsules_margin_inflates():

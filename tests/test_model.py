@@ -7,13 +7,26 @@ from safemanip.model import (
     body_jacobian,
     cross_rows,
     forward_kinematics,
-    geometric_jacobian,
     point_jacobian,
-    point_jacobian_world,
     robust_null_projector,
     robust_pinv,
 )
 from safemanip.se3 import Pose, cross3, pose_diff, se3_log, so3_exp
+
+
+def geometric_jacobian(model, frames, frame=-1):
+    """6 x n world-frame hybrid Jacobian of link frame ``frame`` (-1: the
+    end-effector), built column by column from the frame poses (per-frame
+    oracle): joint j turns about its world axis a_j through its origin o_j,
+    so column j is (a_j, a_j x (p - o_j)) up to the frame's own link."""
+    last = model.n - 1 if frame == -1 else frame
+    p = frames[frame].translation
+    J = np.zeros((6, model.n))
+    for j in range(last + 1):
+        a = frames[j].rotation @ model.joints[j].axis
+        J[:3, j] = a
+        J[3:, j] = cross3(a, p - frames[j].translation)
+    return J
 
 
 def fd_jacobian(model, q, h=1e-6):
@@ -75,9 +88,13 @@ def test_fk_equals_pose_composition_bitwise(robot_name, request, rng):
             T = T @ joint.origin @ Pose(so3_exp(joint.axis * qi), np.zeros(3))
             expect.append(T)
         expect.append(T @ model.ee_frame)
-        for got, want in zip(forward_kinematics(model, q), expect):
-            assert np.array_equal(got.rotation, want.rotation)
-            assert np.array_equal(got.translation, want.translation)
+        frames = forward_kinematics(model, q)
+        assert len(frames) == len(expect) == model.n + 1
+        for i, want in enumerate(expect):
+            assert np.array_equal(frames.R[i], want.rotation)
+            assert np.array_equal(frames.t[i], want.translation)
+            assert np.array_equal(frames[i].rotation, want.rotation)
+            assert np.array_equal(frames[i].translation, want.translation)
 
 
 @pytest.mark.parametrize("robot_name", ["planar2r", "planar3r", "panda7"])
@@ -93,8 +110,13 @@ def test_frames_carry_read_only_world_link_arrays(robot_name, request, rng):
             assert np.array_equal(frames.coms[i], frames[i].apply(link.com))
             assert np.array_equal(frames.inertias[i], R @ link.inertia @ R.T)
         assert frames.inertias.shape == (model.n, 3, 3)
+        assert frames.R.shape == (model.n + 1, 3, 3)
+        assert frames.t.shape == (model.n + 1, 3)
+        assert np.array_equal(frames.origins, frames.t[: model.n])
         for rows in (frames.axes, frames.origins, frames.coms, frames.inertias):
             assert rows.shape[0] == model.n
+        for rows in (frames.R, frames.t, frames.axes, frames.origins,
+                     frames.coms, frames.inertias):
             with pytest.raises(ValueError):
                 rows[0] = 0.0
 
@@ -130,16 +152,22 @@ def test_jacobian_matches_finite_differences(robot_name, request, rng):
 
 
 def test_jacobian_intermediate_frame_zero_downstream(panda7, rng):
+    # the point Jacobian of frame 3's origin is the linear block of that
+    # frame's Jacobian, with no column past link 3
     q = rng.uniform(-1.0, 1.0, 7)
-    J3 = geometric_jacobian(panda7, forward_kinematics(panda7, q), frame=3)
+    frames = forward_kinematics(panda7, q)
+    J3 = point_jacobian(panda7, frames, 3, frames.t[3])
     np.testing.assert_allclose(J3[:, 4:], 0.0, rtol=0.0, atol=0.0)
     assert np.linalg.norm(J3[:, :4]) > 0.0
+    np.testing.assert_allclose(J3, geometric_jacobian(panda7, frames, 3)[3:],
+                               rtol=0.0, atol=1e-12)
 
 
 def test_jacobian_invalid_frame(planar2r):
-    with pytest.raises(ValueError):
-        geometric_jacobian(planar2r, forward_kinematics(planar2r, np.zeros(2)),
-                           frame=5)
+    frames = forward_kinematics(planar2r, np.zeros(2))
+    for link in (-1, 2, 5):
+        with pytest.raises(ValueError):
+            point_jacobian(planar2r, frames, link, np.zeros(3))
 
 
 def test_point_jacobian_matches_fd(request, rng):
@@ -150,9 +178,10 @@ def test_point_jacobian_matches_fd(request, rng):
         for _ in range(25):
             q = rng.uniform(-2.5, 2.5, n)
             point = rng.uniform(-0.3, 0.3, 3)
+            frames = forward_kinematics(model, q)
             for link in range(n):
-                Jp = point_jacobian(model, forward_kinematics(model, q), link,
-                                    point)
+                Jp = point_jacobian(model, frames, link,
+                                    frames[link].apply(point))
                 Jfd = np.zeros((3, n))
                 for j in range(n):
                     dq = np.zeros(n)
@@ -161,16 +190,6 @@ def test_point_jacobian_matches_fd(request, rng):
                     pm = forward_kinematics(model, q - dq)[link].apply(point)
                     Jfd[:, j] = (pp - pm) / (2 * h)
                 np.testing.assert_allclose(Jp, Jfd, rtol=0.0, atol=1e-5)
-
-
-def test_point_jacobian_world_agrees_with_local(planar3r, rng):
-    q = rng.uniform(-1.0, 1.0, 3)
-    frames = forward_kinematics(planar3r, q)
-    local = np.array([0.2, -0.1, 0.05])
-    world = frames[1].apply(local)
-    np.testing.assert_allclose(
-        point_jacobian(planar3r, frames, 1, local),
-        point_jacobian_world(planar3r, frames, 1, world), rtol=0.0, atol=1e-12)
 
 
 def test_body_jacobian_first_order_pose_diff(request, rng):
@@ -253,7 +272,7 @@ def test_null_projector_square_full_rank_is_zero():
 
 
 def test_null_projector_row_vector():
-    N = robust_null_projector(np.array([1.0, 0.0]))
+    N = robust_null_projector(np.array([[1.0, 0.0]]))
     np.testing.assert_allclose(N, np.diag([0.0, 1.0]), rtol=0.0, atol=1e-12)
 
 

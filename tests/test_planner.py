@@ -1,5 +1,6 @@
 """Receding-horizon planner: cost terms, transcriptions, QP solver."""
 
+import dataclasses
 import itertools
 import logging
 
@@ -9,7 +10,13 @@ import scipy.optimize
 import scipy.sparse as sp
 
 from safemanip import sim
-from safemanip.geometry import DistanceResult, Obstacle, Sphere, closest_pair_per_link
+from safemanip.geometry import (
+    Capsule,
+    DistanceResult,
+    Obstacle,
+    Sphere,
+    closest_pair_per_link,
+)
 from safemanip.model import body_jacobian, forward_kinematics, robust_null_projector
 from safemanip.planner import qp
 from safemanip.planner.config import MpcConfig
@@ -978,6 +985,29 @@ def test_state_outside_the_envelope_is_clamped(planar2r, caplog):
     assert "outside the feasible envelope" in caplog.text
     np.testing.assert_array_equal(prob.x0[:2], [hi[0], x0[1]])
     np.testing.assert_allclose(prob.x0[2:], [0.0, -cap], rtol=1e-12, atol=0.0)
+
+
+def test_zero_distance_pair_skips_its_row_with_a_warning(planar2r, caplog):
+    # power-of-two sizes put the sphere's surface on link 0's capsule at
+    # exactly zero distance (core 0.25 = 0.0625 + 0.1875), where the distance
+    # gradient is undefined: that pair's hard row is skipped, with a warning,
+    # and only link 1's row is transcribed
+    bodies = tuple(dataclasses.replace(body, shape=Capsule(
+        0.0625, body.shape.a, body.shape.b))
+        for body in planar2r.collision_bodies)
+    model = dataclasses.replace(planar2r, collision_bodies=bodies)
+    obs = (ball([0.5, 0.25, 0.0], radius=0.1875),)
+    sweep = closest_pair_per_link(model, np.zeros(2), obs)
+    assert sweep.results[0].distance == 0.0
+    N = 6
+    with caplog.at_level(logging.WARNING, logger="safemanip.planner.costs"):
+        prob = transcribe(PlannerInput(x0=np.zeros(4), T_ref=Pose.identity(),
+                                       obstacles=obs),
+                          MpcConfig(horizon=N), model)
+    assert "body 0 / obstacle 0" in caplog.text
+    assert "hard row skipped" in caplog.text
+    assert [row.body_index for row in prob.context.distance_rows] == [1]
+    assert prob.n_distance_rows == N - 1
 
 
 # full solves
